@@ -222,57 +222,15 @@ impl Crafty {
     /// timestamp raced too far ahead of `tsLowerBound`.
     ///
     /// Every other thread whose latest sequence is older than
-    /// `threshold_ts` is forced to append an empty, committed sequence
-    /// (using a hardware transaction to synchronize with the owner). This
-    /// guarantees that the recovery cutoff — the minimum over threads of
-    /// their latest sequence timestamp — can never drop below the
-    /// timestamps of entries that are about to be overwritten, so recovery
-    /// never needs a discarded entry.
+    /// `threshold_ts` is pinned (see [`Crafty::pin_log`]), unless its owner
+    /// commits something newer first. This guarantees that the recovery
+    /// cutoff — the minimum over threads of their latest sequence
+    /// timestamp — can never drop below the timestamps of entries that are
+    /// about to be overwritten, so recovery never needs a discarded entry.
     pub(crate) fn maintain_ts_lower_bound(&self, calling_tid: usize, threshold_ts: u64) {
-        for (tid, shared) in self.threads.iter().enumerate() {
-            if tid == calling_tid {
-                continue;
-            }
-            if shared.last_seq_ts.load(Ordering::Acquire) >= threshold_ts {
-                continue;
-            }
-            // Retry until either our forced sequence lands or the owner
-            // itself commits something newer than the threshold.
-            for _ in 0..64 {
-                if shared.last_seq_ts.load(Ordering::Acquire) >= threshold_ts {
-                    break;
-                }
-                let ts = self.clock.now();
-                let mut txn = self.htm.begin(calling_tid);
-                let appended =
-                    shared
-                        .undo_log
-                        .append_sequence(&mut txn, &[], ts)
-                        .and_then(|info| {
-                            shared
-                                .undo_log
-                                .commit_marker_txn(&mut txn, info.marker_abs, 0, ts)?;
-                            Ok(info)
-                        });
-                let info = match appended {
-                    Ok(info) => info,
-                    Err(_) => continue,
-                };
-                if txn.commit().is_ok() {
-                    shared
-                        .undo_log
-                        .flush_marker(&self.mem, calling_tid, info.marker_abs);
-                    self.mem.drain(calling_tid);
-                    // The refresh is now the target's latest sequence, so
-                    // recovery stops rolling back the target's own earlier
-                    // sequences. Every commit that precedes the refresh in
-                    // the target's log enqueued its write-backs atomically
-                    // with its commit, so completing the target's flush
-                    // queue here makes all of them durable.
-                    self.mem.drain(tid);
-                    shared.last_seq_ts.fetch_max(ts.raw(), Ordering::AcqRel);
-                    break;
-                }
+        for tid in 0..self.threads.len() {
+            if tid != calling_tid {
+                self.pin_log(tid, calling_tid, threshold_ts, 64);
             }
         }
         // Threads that have never logged a sequence have nothing recovery
@@ -287,52 +245,71 @@ impl Crafty {
         self.ts_lower_bound.fetch_max(min_ts, Ordering::AcqRel);
     }
 
-    /// On-demand immediate persistence (Section 5.2): appends an empty,
-    /// committed sequence to *every* thread's log (using hardware
-    /// transactions to synchronize with the owners) and drains the calling
-    /// thread's flushes. After it returns, every persistent transaction
-    /// that had completed before the call is guaranteed to survive a crash:
-    /// each thread's latest sequence is now empty, so the rollback recovery
-    /// performs cannot undo any completed transaction. Invoke this before
-    /// externally visible, irrevocable actions (system calls).
+    /// On-demand immediate persistence (Section 5.2): pins *every* thread's
+    /// log with an empty, committed sequence, appended in a hardware
+    /// transaction that synchronizes with the log's owner. After it
+    /// returns, every persistent transaction that had completed before the
+    /// call is guaranteed to survive a crash: each thread's latest sequence
+    /// is now an empty one that landed only after all of that thread's
+    /// earlier write-backs were durable, so the rollback recovery performs
+    /// cannot undo any completed transaction. Invoke this before externally
+    /// visible, irrevocable actions (system calls).
+    ///
+    /// A thread with nothing queued costs one drain (the pin's own marker);
+    /// a thread with queued write-backs costs one more, to drain them before
+    /// the pin may land.
     pub fn persist_now(&self, calling_tid: usize) {
         for tid in 0..self.threads.len() {
-            self.force_empty_sequence(tid, calling_tid);
+            self.pin_log(tid, calling_tid, u64::MAX, usize::MAX);
         }
     }
 
-    /// Appends an empty committed sequence to `target_tid`'s log, executing
-    /// the append on `via_tid`'s hardware-transaction context. Loops until
-    /// the hardware transaction commits.
-    fn force_empty_sequence(&self, target_tid: usize, via_tid: usize) {
+    /// Pins `target_tid`'s log: appends an empty COMMITTED sequence to it,
+    /// running the append in a hardware transaction on `via_tid`'s context
+    /// so it synchronizes with the owner through the log-head word. Once
+    /// the pin is durable it is the target's latest sequence, so recovery
+    /// rolls back nothing the target committed before it.
+    ///
+    /// A pin lands only on a log with nothing queued. The target's queue is
+    /// drained first if it holds write-backs, and the transaction commits
+    /// only if the queue is still empty after the head was read: an owner
+    /// commit racing the pin either enqueued before that check (the pin
+    /// retries) or writes the head line and aborts the pin. Every write-back
+    /// the pin shields is therefore durable before the pin can be, and the
+    /// owner's next drain cannot write the pin back ahead of queued data
+    /// sharing its log line. The marker is then flushed and drained through
+    /// `via_tid`'s queue — the only unconditional drain.
+    ///
+    /// Gives up once the target's latest sequence is at least
+    /// `threshold_ts` (its owner committed something newer) or after
+    /// `attempts` tries.
+    fn pin_log(&self, target_tid: usize, via_tid: usize, threshold_ts: u64, attempts: usize) {
         let shared = &self.threads[target_tid];
-        loop {
-            let ts = self.clock.now();
-            let mut txn = self.htm.begin(via_tid);
-            let appended = shared
-                .undo_log
-                .append_sequence(&mut txn, &[], ts)
-                .and_then(|info| {
-                    shared
-                        .undo_log
-                        .commit_marker_txn(&mut txn, info.marker_abs, 0, ts)?;
-                    Ok(info)
-                });
-            let info = match appended {
-                Ok(info) => info,
-                Err(_) => continue,
-            };
-            if txn.commit().is_ok() {
-                shared
-                    .undo_log
-                    .flush_marker(&self.mem, via_tid, info.marker_abs);
-                self.mem.drain(via_tid);
-                // Make everything the target committed before this refresh
-                // durable (see `maintain_ts_lower_bound`).
-                self.mem.drain(target_tid);
-                shared.last_seq_ts.fetch_max(ts.raw(), Ordering::AcqRel);
+        for _ in 0..attempts {
+            if shared.last_seq_ts.load(Ordering::Acquire) >= threshold_ts {
                 return;
             }
+            if self.mem.pending_flushes(target_tid) > 0 {
+                self.mem.drain(target_tid);
+            }
+            let ts = self.clock.now();
+            let mut txn = self.htm.begin(via_tid);
+            let Ok(info) =
+                shared
+                    .undo_log
+                    .append_sequence(&mut txn, &[], MarkerKind::Committed, ts)
+            else {
+                continue;
+            };
+            if self.mem.pending_flushes(target_tid) > 0 || txn.commit().is_err() {
+                continue;
+            }
+            shared
+                .undo_log
+                .flush_marker(&self.mem, via_tid, info.marker_abs);
+            self.mem.drain(via_tid);
+            shared.last_seq_ts.fetch_max(ts.raw(), Ordering::AcqRel);
+            return;
         }
     }
 
@@ -459,6 +436,41 @@ mod tests {
         let after = crafty.threads[0].undo_log.head(&mem);
         assert_eq!(after, before + 1);
         assert!(crafty.threads[0].last_seq_ts.load(Ordering::Relaxed) > 0);
+    }
+
+    /// Drains issued by `f`, counted at the memory space.
+    fn drains_during(mem: &MemorySpace, f: impl FnOnce()) -> u64 {
+        let before = mem.stats();
+        f();
+        mem.stats().since(&before).drains
+    }
+
+    #[test]
+    fn a_deferred_write_batch_pays_three_drains() {
+        let mem = Arc::new(MemorySpace::new(PmemConfig::small_for_tests()));
+        let crafty = Crafty::new(
+            Arc::clone(&mem),
+            CraftyConfig::small_for_tests().with_max_threads(1),
+        );
+        let cell = mem.reserve_persistent(1);
+        let mut thread = crafty.register_thread(0);
+        // The pre-Redo drain, the group's barrier, and the pin's marker: the
+        // fence finds the queue empty and must not drain it again.
+        let drains = drains_during(&mem, || {
+            thread.execute_deferred(&mut |ops| ops.write(cell, 7));
+            thread.flush_deferred();
+            crafty.persist_fence(0);
+        });
+        assert_eq!(drains, 3);
+    }
+
+    #[test]
+    fn a_fence_over_idle_threads_drains_once_per_thread() {
+        let (mem, crafty) = engine();
+        let n = crafty.config().max_threads as u64;
+        assert!(n > 1);
+        let drains = drains_during(&mem, || crafty.persist_fence(0));
+        assert_eq!(drains, n, "one drain per pin, none for empty queues");
     }
 
     #[test]

@@ -14,11 +14,14 @@
 //!    drained, so their in-place writes never started (see
 //!    [`parse_sequences`]).
 //! 3. Roll back the *latest* sequence of every thread (its writes may have
-//!    only partially persisted because Crafty flushes without draining),
-//!    plus — to reach a globally consistent cut — every sequence whose
-//!    timestamp is at or after the earliest timestamp being rolled back.
-//!    Rollback applies old values in reverse timestamp order, entries in
-//!    reverse order within a sequence (Section 5.1).
+//!    only partially persisted because Crafty flushes without draining) —
+//!    and its predecessor too when the latest is a LOGGED sequence appended
+//!    over the predecessor's still-queued write-backs
+//!    ([`MarkerKind::LoggedOverPending`]) — plus, to reach a globally
+//!    consistent cut, every sequence whose timestamp is at or after the
+//!    earliest timestamp being rolled back. Rollback applies old values in
+//!    reverse timestamp order, entries in reverse order within a sequence
+//!    (Section 5.1).
 //! 4. Zero the log regions so the restarted program begins with clean
 //!    logs, bracketed by a persistent phase word so that a crash *during*
 //!    recovery itself converges on re-run (see [`recover_interrupted`]).
@@ -34,7 +37,9 @@ use std::fmt;
 use crafty_common::{PAddr, Timestamp};
 use crafty_pmem::PersistentImage;
 
-use crate::undo_log::{decode, Entry, LogDirectory, LogGeometry, SlotState, RECOVERY_FLAG_WORD};
+use crate::undo_log::{
+    decode, Entry, LogDirectory, LogGeometry, MarkerKind, SlotState, RECOVERY_FLAG_WORD,
+};
 
 /// Value of the directory's recovery phase word while log zeroing is in
 /// flight. Set only after a recovery pass has applied its *entire*
@@ -46,6 +51,8 @@ const FLAG_ZEROING: u64 = 1;
 pub struct Sequence {
     /// The sequence timestamp (LOGGED time, overwritten by COMMITTED time).
     pub ts: Timestamp,
+    /// The kind of the sequence's marker as it persisted.
+    pub kind: MarkerKind,
     /// Undo entries in append (program) order.
     pub entries: Vec<(PAddr, u64)>,
 }
@@ -124,9 +131,12 @@ pub fn parse_sequences(image: &PersistentImage, geometry: &LogGeometry) -> Vec<S
     for (slot, state) in states.iter().enumerate() {
         let SlotState::Valid {
             parity,
-            entry: Entry::Marker {
-                ts, data_entries, ..
-            },
+            entry:
+                Entry::Marker {
+                    kind,
+                    ts,
+                    data_entries,
+                },
         } = *state
         else {
             continue;
@@ -158,11 +168,25 @@ pub fn parse_sequences(image: &PersistentImage, geometry: &LogGeometry) -> Vec<S
         });
         if complete {
             entries.reverse();
-            sequences.push(Sequence { ts, entries });
+            sequences.push(Sequence { ts, kind, entries });
         }
     }
     sequences.sort_by_key(|s| s.ts);
     sequences
+}
+
+/// A thread's term in the recovery cut: the timestamp of the oldest of its
+/// sequences that must be rolled back. That is its latest sequence, whose
+/// write-backs may not have completed — or, when the latest is a
+/// [`MarkerKind::LoggedOverPending`] sequence, its predecessor: that
+/// sequence was appended while the predecessor's write-backs were still
+/// queued and may have persisted ahead of them.
+fn cut_term(sequences: &[Sequence]) -> Option<Timestamp> {
+    let (latest, earlier) = sequences.split_last()?;
+    match earlier.last() {
+        Some(predecessor) if latest.kind == MarkerKind::LoggedOverPending => Some(predecessor.ts),
+        _ => Some(latest.ts),
+    }
 }
 
 /// Outcome of a budget-limited recovery pass (see [`recover_interrupted`]).
@@ -273,12 +297,9 @@ pub fn recover_interrupted(
     };
     let sequences_found = per_thread.iter().map(Vec::len).sum();
 
-    // The timestamp cut: the earliest timestamp among each thread's latest
-    // sequence. Everything at or after it is rolled back.
-    let cutoff = per_thread
-        .iter()
-        .filter_map(|seqs| seqs.last().map(|s| s.ts))
-        .min();
+    // The timestamp cut: the earliest of the threads' cut terms. Everything
+    // at or after it is rolled back.
+    let cutoff = per_thread.iter().filter_map(|seqs| cut_term(seqs)).min();
 
     let mut report = RecoveryReport {
         threads_scanned: directory.logs.len(),

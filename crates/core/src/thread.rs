@@ -319,7 +319,8 @@ impl<'c> CraftyThread<'c> {
                     .map(|r| (r.addr, r.old_value)),
             );
             let log_ts = engine.timestamp();
-            let info = match undo_log.append_sequence(&mut txn, &self.entries_buf, log_ts) {
+            let kind = self.logged_kind();
+            let info = match undo_log.append_sequence(&mut txn, &self.entries_buf, kind, log_ts) {
                 Ok(info) => info,
                 Err(_) => continue,
             };
@@ -540,6 +541,21 @@ impl<'c> CraftyThread<'c> {
         CommitOutcome::Failed
     }
 
+    /// The marker kind for a sequence this thread is about to log. A
+    /// durability-deferred predecessor may still have write-backs queued;
+    /// the new sequence can then reach persistent memory ahead of them, so
+    /// it is marked [`MarkerKind::LoggedOverPending`] and recovery rolls the
+    /// predecessor back with it until its COMMITTED rewrite lands. Only this
+    /// thread enqueues on its own queue, so a stale read can only mark the
+    /// sequence conservatively.
+    fn logged_kind(&self) -> MarkerKind {
+        if self.engine.mem.pending_flushes(self.tid) > 0 {
+            MarkerKind::LoggedOverPending
+        } else {
+            MarkerKind::Logged
+        }
+    }
+
     /// Reads the thread's own log head inside the committing transaction
     /// and writes it back unchanged. This (a) detects whether another
     /// thread appended a refresh sequence to this log since the Log phase
@@ -716,7 +732,7 @@ impl<'c> CraftyThread<'c> {
             let info = undo_log.append_sequence_nontx(
                 &engine.htm,
                 &self.entries_buf,
-                MarkerKind::Logged,
+                self.logged_kind(),
                 log_ts,
             );
             undo_log.flush_entries(&engine.mem, self.tid, info.first_abs, info.marker_abs);
@@ -902,7 +918,7 @@ impl<'c> CraftyThread<'c> {
             let info = undo_log.append_sequence_nontx(
                 &engine.htm,
                 &self.entries_buf,
-                MarkerKind::Logged,
+                self.logged_kind(),
                 log_ts,
             );
             undo_log.flush_entries(&engine.mem, self.tid, info.first_abs, info.marker_abs);

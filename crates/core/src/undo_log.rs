@@ -114,6 +114,13 @@ pub enum MarkerKind {
     /// The sequence's writes were committed by a Redo or Validate phase
     /// (or an SGL section) at the recorded timestamp.
     Committed,
+    /// Like [`MarkerKind::Logged`], but appended while the owning thread
+    /// still had write-backs of its previous transaction queued (a
+    /// durability-deferred group commit). Such a sequence can reach
+    /// persistent memory before its predecessor's data does, so until it
+    /// is rewritten as COMMITTED it does not shield the predecessor:
+    /// recovery rolls the predecessor back too.
+    LoggedOverPending,
 }
 
 impl MarkerKind {
@@ -121,6 +128,7 @@ impl MarkerKind {
         match self {
             MarkerKind::Logged => 1,
             MarkerKind::Committed => 2,
+            MarkerKind::LoggedOverPending => 3,
         }
     }
 
@@ -128,6 +136,7 @@ impl MarkerKind {
         match code {
             1 => Some(MarkerKind::Logged),
             2 => Some(MarkerKind::Committed),
+            3 => Some(MarkerKind::LoggedOverPending),
             _ => None,
         }
     }
@@ -342,7 +351,7 @@ impl UndoLog {
         mem.read(self.head_addr)
     }
 
-    /// Appends `entries` (in order) followed by a `LOGGED` marker carrying
+    /// Appends `entries` (in order) followed by a marker of `kind` carrying
     /// `ts`, all inside the given hardware transaction. Nothing becomes
     /// visible or persistent unless the transaction commits.
     ///
@@ -353,6 +362,7 @@ impl UndoLog {
         &self,
         txn: &mut HwTxn<'_>,
         entries: &[(PAddr, u64)],
+        kind: MarkerKind,
         ts: Timestamp,
     ) -> Result<AppendInfo, AbortCode> {
         let head = txn.read(self.head_addr)?;
@@ -366,7 +376,7 @@ impl UndoLog {
             txn,
             marker_abs,
             Entry::Marker {
-                kind: MarkerKind::Logged,
+                kind,
                 ts,
                 data_entries: entries.len() as u64,
             },
@@ -405,9 +415,9 @@ impl UndoLog {
         )
     }
 
-    /// Non-transactional variants used by the SGL (thread-unsafe) path,
-    /// which runs while holding the global lock: writes go through the HTM
-    /// runtime's non-transactional store so that doomed concurrent
+    /// Non-transactional variants used by the software fallbacks and the
+    /// thread-unsafe path, which run while holding locks: writes go through
+    /// the HTM runtime's non-transactional store so that doomed concurrent
     /// transactions still detect them.
     pub fn append_sequence_nontx(
         &self,
@@ -658,7 +668,11 @@ mod tests {
 
     #[test]
     fn encode_decode_round_trips_markers() {
-        for kind in [MarkerKind::Logged, MarkerKind::Committed] {
+        for kind in [
+            MarkerKind::Logged,
+            MarkerKind::Committed,
+            MarkerKind::LoggedOverPending,
+        ] {
             let entry = Entry::Marker {
                 kind,
                 ts: Timestamp::from_raw(0xABCD_EF01_2345),
@@ -768,7 +782,12 @@ mod tests {
         let (mem, htm, log) = setup();
         let mut txn = htm.begin(0);
         let info = log
-            .append_sequence(&mut txn, &[(PAddr::new(64), 9)], Timestamp::from_raw(3))
+            .append_sequence(
+                &mut txn,
+                &[(PAddr::new(64), 9)],
+                MarkerKind::Logged,
+                Timestamp::from_raw(3),
+            )
             .expect("append");
         assert_eq!(info.data_entries, 1);
         assert_eq!(log.head(&mem), 0, "head update must be buffered");
@@ -782,7 +801,7 @@ mod tests {
         let data = [(PAddr::new(64), 11u64), (PAddr::new(72), 22u64)];
         let mut txn = htm.begin(0);
         let info = log
-            .append_sequence(&mut txn, &data, Timestamp::from_raw(5))
+            .append_sequence(&mut txn, &data, MarkerKind::Logged, Timestamp::from_raw(5))
             .expect("append");
         txn.commit().expect("commit");
         log.flush_entries(&mem, 0, info.first_abs, info.marker_abs);
@@ -816,7 +835,12 @@ mod tests {
         let (mem, htm, log) = setup();
         let mut txn = htm.begin(0);
         let info = log
-            .append_sequence(&mut txn, &[(PAddr::new(64), 1)], Timestamp::from_raw(7))
+            .append_sequence(
+                &mut txn,
+                &[(PAddr::new(64), 1)],
+                MarkerKind::Logged,
+                Timestamp::from_raw(7),
+            )
             .expect("append");
         txn.commit().expect("commit");
         let mut txn2 = htm.begin(0);
@@ -851,8 +875,13 @@ mod tests {
         let data: Vec<(PAddr, u64)> = (0..5).map(|i| (PAddr::new(64 + i), i)).collect();
         for round in 0..3 {
             let mut txn = htm.begin(0);
-            log.append_sequence(&mut txn, &data, Timestamp::from_raw(round + 1))
-                .expect("append");
+            log.append_sequence(
+                &mut txn,
+                &data,
+                MarkerKind::Logged,
+                Timestamp::from_raw(round + 1),
+            )
+            .expect("append");
             txn.commit().expect("commit");
         }
         assert_eq!(log.head(&mem), 18);

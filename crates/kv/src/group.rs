@@ -22,8 +22,14 @@
 //! Crash semantics are the natural group-commit contract: a crash before
 //! the barrier may lose a suffix of the group's transactions, but each one
 //! atomically — recovery rolls a lost transaction back whole, never
-//! partially, and never touches transactions whose durability was already
-//! covered by an earlier drain. On engines without a deferral fast path
+//! partially. A deferred transaction's write-backs are still queued when
+//! the next one logs, and that next sequence may persist first; Crafty
+//! marks such a sequence so that recovery rolls its predecessor back with
+//! it, instead of keeping the predecessor half-written behind it. After
+//! the barrier every transaction in the group is durable up to the
+//! engine's latest-sequence rollback, which
+//! [`crafty_common::PersistentTm::persist_fence`] then pins (the service
+//! acks only after both). On engines without a deferral fast path
 //! the default trait implementations make every `execute` immediately
 //! durable and the barrier a no-op, so the same code runs unchanged (just
 //! without the saving).

@@ -4,7 +4,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 
 use crafty_common::PersistentTm;
 use crafty_core::{Crafty, CraftyConfig};
@@ -239,70 +239,114 @@ fn sequence_gap_drops_the_connection() {
     engine.quiesce();
 }
 
-/// Under an in-flight budget of one, concurrent pipelined batches are
-/// shed with `Busy` — and a shed batch is *not* recorded, so resending
-/// it succeeds.
+/// An engine wrapper whose first `persist_fence` parks until the test
+/// releases it, so a batch can be held inside its durability window (and
+/// its in-flight budget slot) for as long as the test needs.
+struct GatedEngine {
+    inner: Arc<Crafty>,
+    /// Taken by the first fence: it reports entry on the first channel and
+    /// waits for the release on the second.
+    gate: Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
+}
+
+impl PersistentTm for GatedEngine {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn register_thread(&self, tid: usize) -> Box<dyn crafty_common::TmThread + '_> {
+        self.inner.register_thread(tid)
+    }
+
+    fn breakdown(&self) -> crafty_common::BreakdownSnapshot {
+        self.inner.breakdown()
+    }
+
+    fn quiesce(&self) {
+        self.inner.quiesce();
+    }
+
+    fn persist_fence(&self, calling_tid: usize) {
+        let gate = self.gate.lock().expect("gate lock poisoned").take();
+        if let Some((entered, release)) = gate {
+            entered.send(()).expect("test listens for the fence");
+            release.recv().expect("test releases the fence");
+        }
+        self.inner.persist_fence(calling_tid);
+    }
+}
+
+/// Under an in-flight budget of one, a pipelined batch that arrives while
+/// another batch holds the only slot is shed whole with `Busy` — and a
+/// shed batch is *not* recorded, so resending it succeeds.
 #[test]
 fn overloaded_server_sheds_whole_batches_with_busy() {
     let mem = Arc::new(MemorySpace::new(PmemConfig::small_for_tests()));
-    let engine = Arc::new(Crafty::new(
+    let crafty = Arc::new(Crafty::new(
         Arc::clone(&mem),
         CraftyConfig::small_for_tests().with_max_threads(WORKERS),
     ));
+    let (entered_tx, entered_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel();
+    let engine = Arc::new(GatedEngine {
+        inner: Arc::clone(&crafty),
+        gate: Mutex::new(Some((entered_tx, release_rx))),
+    });
     let kv = ShardedKv::create(&mem, &KvConfig::benchmark(RECORDS, 16));
     let sessions = SessionTable::create(&mem, 64);
     let server = KvServer::start(
-        Arc::clone(&engine) as Arc<dyn crafty_common::PersistentTm>,
+        Arc::clone(&engine) as Arc<dyn PersistentTm>,
         kv,
         sessions,
         ServerConfig::loopback(WORKERS, true).with_inflight_budget(1),
     )
     .expect("bind loopback server");
     let addr = server.local_addr();
+    let batch = |t: u64| -> Vec<Request> {
+        (0..64)
+            .map(|i| Request::Put {
+                key: t * 1000 + i,
+                value: i,
+            })
+            .collect()
+    };
 
-    // Two connections hammer wide write batches; with one budget slot and
-    // two workers, overlapping windows force the loser onto the shed
-    // path. Keep going until a Busy is observed (bounded, not timed).
-    let shed_seen = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let mut drivers = Vec::new();
-    for t in 0..2u64 {
-        let shed_seen = Arc::clone(&shed_seen);
-        drivers.push(std::thread::spawn(move || {
-            let mut client = KvClient::connect(addr).expect("connect");
-            let batch: Vec<Request> = (0..64)
-                .map(|i| Request::Put {
-                    key: t * 1000 + i,
-                    value: i,
-                })
-                .collect();
-            for _ in 0..200 {
-                if shed_seen.load(std::sync::atomic::Ordering::Relaxed) {
-                    return;
-                }
-                client.send(&batch).expect("send");
-                let responses = client.recv(batch.len()).expect("recv");
-                if responses.iter().any(|r| matches!(r, Response::Busy)) {
-                    // The whole batch is shed together, never partially.
-                    assert!(
-                        responses.iter().all(|r| matches!(r, Response::Busy)),
-                        "a shed batch must be Busy for every request"
-                    );
-                    shed_seen.store(true, std::sync::atomic::Ordering::Relaxed);
-                    return;
-                }
-            }
-        }));
-    }
-    for d in drivers {
-        d.join().expect("driver");
-    }
+    // Connection A's write batch claims the only budget slot and parks in
+    // its fence: from here until the release, the slot is taken.
+    let mut holder = KvClient::connect(addr).expect("connect holder");
+    holder.send(&batch(0)).expect("send held batch");
+    entered_rx.recv().expect("held batch reaches its fence");
+
+    // Connection B's batch (served by the other worker) must be shed
+    // whole: every request answered Busy, nothing executed.
+    let mut shed = KvClient::connect(addr).expect("connect shed");
+    let busy = batch(1);
+    shed.send(&busy).expect("send shed batch");
+    let responses = shed.recv(busy.len()).expect("recv shed batch");
     assert!(
-        shed_seen.load(std::sync::atomic::Ordering::Relaxed),
-        "two colliding pipelines against a budget of one never shed"
+        responses.iter().all(|r| matches!(r, Response::Busy)),
+        "a batch over the budget must be Busy for every request: {responses:?}"
+    );
+    assert!(
+        server.stats().shed_batches >= 1,
+        "shed counter must record it"
+    );
+
+    // Release the holder: its batch completes in full.
+    release_tx.send(()).expect("release the fence");
+    let held = holder.recv(64).expect("recv held batch");
+    assert!(held.iter().all(|r| !matches!(r, Response::Busy)));
+
+    // The shed batch left no trace, so resending it now succeeds.
+    shed.send(&busy).expect("resend shed batch");
+    let resent = shed.recv(busy.len()).expect("recv resent batch");
+    assert!(
+        resent.iter().all(|r| !matches!(r, Response::Busy)),
+        "the resent batch must execute once the slot is free: {resent:?}"
     );
     let stats = server.shutdown();
-    assert!(stats.shed_batches >= 1, "shed counter must record it");
-    engine.quiesce();
+    assert!(stats.shed_batches >= 1);
+    crafty.quiesce();
 }
 
 #[test]
