@@ -1,11 +1,12 @@
 //! Lazily-allocated sharded atomic arrays.
 //!
 //! Several structures in the workspace are logically "one atomic word per
-//! cache line of the simulated memory": the HTM's versioned line locks, the
-//! persistence domain's dirty bits, and the flush queues' per-line dedup
-//! stamps. Sizing those densely means a 256 MiB space pays tens of
-//! megabytes of metadata up front even if the workload touches a few
-//! thousand lines.
+//! word or cache line of the simulated memory": the simulated memory's
+//! volatile view and persistent image (one slot per word), the HTM's
+//! versioned line locks, the persistence domain's dirty masks, and the
+//! flush queues' per-line dedup stamps (one slot per line). Sizing those
+//! densely means a 256 MiB space writes and page-faults over half a
+//! gigabyte up front even if the workload touches a few thousand lines.
 //!
 //! [`LazyAtomicArray`] instead splits the index space into fixed-size
 //! *segments* that are allocated on first touch (via [`std::sync::OnceLock`],
@@ -17,6 +18,9 @@
 //! Steady-state accesses to an already-allocated segment cost one extra
 //! atomic load (the `OnceLock` check) over a dense array, and perform no
 //! heap allocation — the property the counting-allocator tests assert.
+//! Whole-array scans (a crash image capture, for example) walk only the
+//! materialized segments through [`LazyAtomicArray::for_each_segment`], so
+//! their cost follows the memory actually touched, not the array's length.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -66,6 +70,24 @@ impl LazyAtomicArray {
     /// and tests).
     pub fn allocated_segments(&self) -> usize {
         self.segments.iter().filter(|s| s.get().is_some()).count()
+    }
+
+    /// Calls `f(first, slots)` for every materialized segment in index
+    /// order, where `first` is the index of `slots[0]` and `slots` is the
+    /// segment clipped to the array's length. Never allocates: the
+    /// segments skipped hold only zeros.
+    ///
+    /// A segment materialized concurrently with the walk may or may not be
+    /// visited, exactly as a concurrent store may or may not be observed by
+    /// a load.
+    pub fn for_each_segment(&self, mut f: impl FnMut(u64, &[AtomicU64])) {
+        for (i, seg) in self.segments.iter().enumerate() {
+            if let Some(seg) = seg.get() {
+                let first = i as u64 * SEGMENT_SLOTS;
+                let n = (self.len - first).min(SEGMENT_SLOTS) as usize;
+                f(first, &seg[..n]);
+            }
+        }
     }
 
     /// Returns the slot at `idx`, allocating its segment if needed.
@@ -143,6 +165,32 @@ mod tests {
         let a = LazyAtomicArray::new(SEGMENT_SLOTS + 3);
         a.get(SEGMENT_SLOTS + 2).store(7, Ordering::Release);
         assert_eq!(a.load_or_zero(SEGMENT_SLOTS + 2), 7);
+    }
+
+    #[test]
+    fn segment_visitor_sees_only_materialized_segments() {
+        let a = LazyAtomicArray::new(4 * SEGMENT_SLOTS + 3);
+        a.get(2).store(5, Ordering::Release);
+        a.get(4 * SEGMENT_SLOTS + 1).store(6, Ordering::Release);
+        let mut seen = Vec::new();
+        a.for_each_segment(|first, slots| {
+            let nonzero: Vec<(u64, u64)> = slots
+                .iter()
+                .enumerate()
+                .map(|(i, s)| (first + i as u64, s.load(Ordering::Acquire)))
+                .filter(|&(_, v)| v != 0)
+                .collect();
+            seen.push((first, slots.len(), nonzero));
+        });
+        assert_eq!(
+            seen,
+            vec![
+                (0, SEGMENT_SLOTS as usize, vec![(2, 5)]),
+                (4 * SEGMENT_SLOTS, 3, vec![(4 * SEGMENT_SLOTS + 1, 6)]),
+            ],
+            "visits touched segments in order, the last one clipped to len"
+        );
+        assert_eq!(a.allocated_segments(), 2, "the walk allocates nothing");
     }
 
     #[test]

@@ -835,6 +835,21 @@ mod tests {
     }
 
     #[test]
+    fn nontx_reads_of_untouched_words_materialize_nothing() {
+        let mem = Arc::new(MemorySpace::new(PmemConfig::benchmark()));
+        let rt = HtmRuntime::new(
+            Arc::clone(&mem),
+            HtmConfig::skylake(),
+            Arc::new(BreakdownRecorder::new()),
+        );
+        for w in [64, 1 << 20, mem.config().total_words() - 1] {
+            assert_eq!(rt.nontx_read(PAddr::new(w)), 0);
+        }
+        assert_eq!(mem.materialized_segments(), (0, 0));
+        assert_eq!(rt.line_versions.allocated_segments(), 0);
+    }
+
+    #[test]
     fn committed_writes_become_visible() {
         let rt = runtime(HtmConfig::skylake());
         let a = PAddr::new(64);

@@ -46,10 +46,11 @@
 //!   [`PmemStats::range_lines`] measure the coalescing;
 //!   [`DrainCoalescing::PerLine`] keeps the one-line-at-a-time reference
 //!   mode the differential tests pin against.
-//! * **Line metadata is sharded and lazily allocated.** Dirty-word masks
-//!   and dedup stamps live in [`crafty_common::LazyAtomicArray`] segments
-//!   materialized on first touch, so very large simulated spaces pay
-//!   metadata proportional to the lines they *touch*, not to their size.
+//! * **Memory and line metadata are sharded and lazily allocated.** The
+//!   volatile view, the persistent image, the dirty-word masks and the
+//!   dedup stamps live in [`crafty_common::LazyAtomicArray`] segments
+//!   materialized on first store, so very large simulated spaces pay
+//!   memory proportional to the words they *touch*, not to their size.
 //! * **The steady-state flush path performs zero heap allocations** once
 //!   the touched segments exist — the same counting-allocator-enforced
 //!   guarantee the transaction descriptors in `crafty-htm` carry.

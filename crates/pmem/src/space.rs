@@ -132,6 +132,20 @@
 //!   materialized on first touch, so a multi-gigabyte simulated space no
 //!   longer pays dense up-front metadata proportional to its size.
 //!
+//! # Sparse memory
+//!
+//! The volatile view and the persistent image themselves are
+//! [`crafty_common::LazyAtomicArray`]s too: a 32 KiB segment of either is
+//! allocated by the first store into it (a write, CAS, fetch-add, or a
+//! write-back into the image), and an untouched segment reads as zero
+//! without being allocated. A space's memory and set-up cost therefore
+//! follow the segments a workload actually touches, not its configured
+//! size. Whole-space walks follow suit: [`MemorySpace::crash`] copies only
+//! the materialized image segments and resolves only the materialized
+//! dirty-mask segments, and [`MemorySpace::boot`] stores only the nonzero
+//! words of an image. [`MemorySpace::materialized_segments`] reports the
+//! footprint. None of this changes a flush, drain or crash decision.
+//!
 //! Concurrency contract: all methods are safe to call from any thread, but
 //! `clwb(tid, ..)` calls for one `tid` must come from a single thread at a
 //! time (the queues are single-writer; every engine in the workspace
@@ -322,8 +336,11 @@ impl FlushQueue {
 /// ```
 pub struct MemorySpace {
     cfg: PmemConfig,
-    volatile_view: Box<[AtomicU64]>,
-    persistent_image: Box<[AtomicU64]>,
+    /// One slot per word of the whole space (persistent and volatile
+    /// regions), lazily sharded: what loads and stores see.
+    volatile_view: LazyAtomicArray,
+    /// One slot per persistent word, lazily sharded: what survives a crash.
+    persistent_image: LazyAtomicArray,
     /// Dirty-word mask per persistent line (bit `i` = word `i` stored since
     /// the line's last write-back; 0 = clean), lazily sharded. Doubles as
     /// the dirty flag. In [`PersistGranularity::Line`] reference mode every
@@ -364,7 +381,7 @@ pub struct MemorySpace {
     /// Set once the trap's image capture has finished. Between the trip
     /// and this flag, every *other* thread that reaches a fault tick parks
     /// (see [`MemorySpace::fault_tick_armed`]): the capture loop photographs
-    /// the whole space word by word, and a concurrently running thread
+    /// the space segment by segment, and a concurrently running thread
     /// could otherwise complete further transactions *during* the
     /// photograph — leaking post-crash state into some regions of the
     /// image while others (already photographed) predate it, a torn,
@@ -387,15 +404,16 @@ impl std::fmt::Debug for MemorySpace {
 }
 
 impl MemorySpace {
-    /// Creates a zero-initialized memory space.
+    /// Creates a memory space whose every word reads as zero. No word
+    /// storage is allocated yet: each 32 KiB segment of the volatile view
+    /// and of the persistent image is materialized by the first store into
+    /// it (see "Sparse memory" in the module docs).
     pub fn new(cfg: PmemConfig) -> Self {
-        let total = cfg.total_words() as usize;
-        let persistent = cfg.persistent_words as usize;
-        let lines = persistent.div_ceil(WORDS_PER_LINE as usize) as u64;
+        let lines = cfg.persistent_words.div_ceil(WORDS_PER_LINE);
         let queue_capacity = cfg.flush_queue_capacity.next_power_of_two().max(2);
         MemorySpace {
-            volatile_view: (0..total).map(|_| AtomicU64::new(0)).collect(),
-            persistent_image: (0..persistent).map(|_| AtomicU64::new(0)).collect(),
+            volatile_view: LazyAtomicArray::new(cfg.total_words()),
+            persistent_image: LazyAtomicArray::new(cfg.persistent_words),
             line_masks: LazyAtomicArray::new(lines),
             flush_queues: (0..cfg.max_threads)
                 .map(|_| FlushQueue::new(queue_capacity, lines))
@@ -423,7 +441,8 @@ impl MemorySpace {
     /// recovered [`PersistentImage`] — the post-restart state of the
     /// machine. The volatile region is zeroed and reservation cursors are
     /// reset; callers re-establish their layout exactly as a restarted
-    /// program would.
+    /// program would. Only the image's nonzero words are stored, so the
+    /// booted space materializes just the segments that hold them.
     pub fn boot(image: &PersistentImage, cfg: PmemConfig) -> Self {
         assert_eq!(
             image.len_words(),
@@ -431,10 +450,17 @@ impl MemorySpace {
             "image size must match the configured persistent region"
         );
         let space = MemorySpace::new(cfg);
-        for w in 0..image.len_words() {
-            let v = image.read(PAddr::new(w));
-            space.volatile_view[w as usize].store(v, Ordering::Relaxed);
-            space.persistent_image[w as usize].store(v, Ordering::Relaxed);
+        for (w, &v) in image.as_words().iter().enumerate() {
+            if v != 0 {
+                space
+                    .volatile_view
+                    .get(w as u64)
+                    .store(v, Ordering::Relaxed);
+                space
+                    .persistent_image
+                    .get(w as u64)
+                    .store(v, Ordering::Relaxed);
+            }
         }
         space
     }
@@ -442,6 +468,16 @@ impl MemorySpace {
     /// Returns the configuration this space was built with.
     pub fn config(&self) -> &PmemConfig {
         &self.cfg
+    }
+
+    /// Number of materialized 32 KiB segments of the volatile view and of
+    /// the persistent image, in that order: the space's actual word-storage
+    /// footprint (diagnostics and tests). A fresh space reports `(0, 0)`.
+    pub fn materialized_segments(&self) -> (usize, usize) {
+        (
+            self.volatile_view.allocated_segments(),
+            self.persistent_image.allocated_segments(),
+        )
     }
 
     /// Number of words in the persistent region.
@@ -470,7 +506,7 @@ impl MemorySpace {
     #[inline]
     pub fn read(&self, addr: PAddr) -> u64 {
         self.check_bounds(addr);
-        self.volatile_view[addr.word() as usize].load(Ordering::Acquire)
+        self.volatile_view.load_or_zero(addr.word())
     }
 
     /// The dirty-mask contribution of a store to `addr`: its word's bit in
@@ -508,7 +544,9 @@ impl MemorySpace {
     #[inline]
     pub fn write(&self, addr: PAddr, value: u64) {
         self.check_bounds(addr);
-        self.volatile_view[addr.word() as usize].store(value, Ordering::Release);
+        self.volatile_view
+            .get(addr.word())
+            .store(value, Ordering::Release);
         if self.is_persistent(addr) {
             self.mark_written(addr);
             let line = addr.line();
@@ -555,7 +593,7 @@ impl MemorySpace {
     /// Panics if `addr` is out of bounds.
     pub fn compare_exchange(&self, addr: PAddr, current: u64, new: u64) -> Result<u64, u64> {
         self.check_bounds(addr);
-        let r = self.volatile_view[addr.word() as usize].compare_exchange(
+        let r = self.volatile_view.get(addr.word()).compare_exchange(
             current,
             new,
             Ordering::AcqRel,
@@ -574,7 +612,10 @@ impl MemorySpace {
     /// Panics if `addr` is out of bounds.
     pub fn fetch_add(&self, addr: PAddr, delta: u64) -> u64 {
         self.check_bounds(addr);
-        let old = self.volatile_view[addr.word() as usize].fetch_add(delta, Ordering::AcqRel);
+        let old = self
+            .volatile_view
+            .get(addr.word())
+            .fetch_add(delta, Ordering::AcqRel);
         if self.is_persistent(addr) {
             self.mark_written(addr);
         }
@@ -862,8 +903,10 @@ impl MemorySpace {
             if mask & (1 << i) == 0 {
                 continue;
             }
-            let v = self.volatile_view[addr.word() as usize].load(Ordering::Acquire);
-            self.persistent_image[addr.word() as usize].store(v, Ordering::Release);
+            let v = self.volatile_view.load_or_zero(addr.word());
+            self.persistent_image
+                .get(addr.word())
+                .store(v, Ordering::Release);
             words += 1;
         }
         self.stats
@@ -885,7 +928,7 @@ impl MemorySpace {
     /// Panics if `addr` is not a persistent address.
     pub fn read_persisted(&self, addr: PAddr) -> u64 {
         assert!(self.is_persistent(addr), "{addr} is not persistent");
-        self.persistent_image[addr.word() as usize].load(Ordering::Acquire)
+        self.persistent_image.load_or_zero(addr.word())
     }
 
     /// Simulates a crash / power failure and returns the memory a recovery
@@ -911,34 +954,43 @@ impl MemorySpace {
     /// masks are walked, so two spaces that differ only in persist
     /// granularity resolve identical crash states for the words they both
     /// consider dirty.
+    ///
+    /// The capture walks only materialized segments: unmaterialized image
+    /// segments are all zero and unmaterialized mask segments are all
+    /// clean. Only nonzero words are written into the returned image, whose
+    /// zeroed backing allocation therefore keeps untouched pages unmapped.
     pub fn crash_with(&self, model: CrashModel) -> PersistentImage {
         let words = self.cfg.persistent_words;
         let mut image = vec![0u64; words as usize];
-        for w in 0..words {
-            image[w as usize] = self.persistent_image[w as usize].load(Ordering::Acquire);
-        }
-        let p = model.dirty_word_persist_probability;
-        for line_idx in 0..self.line_masks.len() {
-            // Unallocated metadata segments mean every line in them is
-            // clean; `load_or_zero` never materializes them.
-            let mask = self.line_masks.load_or_zero(line_idx);
-            if mask == 0 {
-                continue;
-            }
-            for (i, addr) in LineId::new(line_idx).words().enumerate() {
-                if addr.word() >= words {
-                    break;
+        self.persistent_image.for_each_segment(|first, slots| {
+            for (i, slot) in slots.iter().enumerate() {
+                let v = slot.load(Ordering::Acquire);
+                if v != 0 {
+                    image[first as usize + i] = v;
                 }
-                if mask & (1 << i) == 0 {
+            }
+        });
+        let p = model.dirty_word_persist_probability;
+        self.line_masks.for_each_segment(|first_line, masks| {
+            for (j, slot) in masks.iter().enumerate() {
+                let mask = slot.load(Ordering::Acquire);
+                if mask == 0 {
                     continue;
                 }
-                let mut coin = SplitMix64::new(model.seed ^ 0xC2A5_11FE ^ mix64(addr.word()));
-                if coin.chance(p) {
-                    image[addr.word() as usize] =
-                        self.volatile_view[addr.word() as usize].load(Ordering::Acquire);
+                for (i, addr) in LineId::new(first_line + j as u64).words().enumerate() {
+                    if addr.word() >= words {
+                        break;
+                    }
+                    if mask & (1 << i) == 0 {
+                        continue;
+                    }
+                    let mut coin = SplitMix64::new(model.seed ^ 0xC2A5_11FE ^ mix64(addr.word()));
+                    if coin.chance(p) {
+                        image[addr.word() as usize] = self.volatile_view.load_or_zero(addr.word());
+                    }
                 }
             }
-        }
+        });
         PersistentImage::from_words(image)
     }
 

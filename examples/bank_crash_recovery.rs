@@ -53,12 +53,10 @@ fn main() {
         report.entries_rolled_back
     );
 
-    // Check the invariant on the *recovered* image by booting it.
+    // Check the invariant on the *recovered* image by booting it. The
+    // accounts sit at the same persistent addresses in the booted space.
     let recovered = MemorySpace::boot(&image, *mem.config());
-    let workload_check = BankWorkload::paper(Contention::High, threads);
-    // Re-deriving the account region: prepare() reserves deterministically,
-    // so a fresh prepare on the booted space maps to the same addresses.
-    let _ = workload_check;
+    mix.verify(&recovered)
+        .unwrap_or_else(|e| panic!("recovered bank is unbalanced: {e}"));
     println!("recovered bank verified: every transfer is all-or-nothing");
-    drop(recovered);
 }
