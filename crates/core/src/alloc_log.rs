@@ -30,20 +30,30 @@ impl AllocLog {
         self.allocations.push((addr, words));
     }
 
+    /// Allocates `words` from `allocator` for the executing body and
+    /// records the allocation — the `TxnOps::alloc` of every context that
+    /// runs a body for the first time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the persistent heap is exhausted.
+    pub fn alloc(&mut self, allocator: &PmemAllocator, words: u64) -> PAddr {
+        let addr = allocator
+            .alloc(words)
+            .expect("persistent heap exhausted; increase CraftyConfig::heap_words");
+        self.record_alloc(addr, words);
+        addr
+    }
+
     /// Records a free requested by the transaction body; the actual release
     /// is deferred until the persistent transaction commits.
     pub fn record_free(&mut self, addr: PAddr, words: u64) {
         self.frees.push((addr, words));
     }
 
-    /// Number of allocations recorded so far.
-    pub fn allocations(&self) -> usize {
-        self.allocations.len()
-    }
-
-    /// Number of deferred frees recorded so far.
-    pub fn deferred_frees(&self) -> usize {
-        self.frees.len()
+    /// True if the body neither allocated nor freed anything.
+    pub fn is_empty(&self) -> bool {
+        self.allocations.is_empty() && self.frees.is_empty()
     }
 
     /// Prepares for a Validate-phase re-execution: subsequent
@@ -135,7 +145,7 @@ mod tests {
         assert_eq!(a.live_allocations(), 1);
         log.release_allocations(&a);
         assert_eq!(a.live_allocations(), 0);
-        assert_eq!(log.allocations(), 0);
+        assert!(log.is_empty());
     }
 
     #[test]
@@ -147,7 +157,7 @@ mod tests {
         assert_eq!(a.live_allocations(), 1, "free must be deferred");
         log.apply_frees(&a);
         assert_eq!(a.live_allocations(), 0);
-        assert_eq!(log.deferred_frees(), 0);
+        assert!(log.is_empty());
     }
 
     #[test]
@@ -156,7 +166,6 @@ mod tests {
         log.record_alloc(PAddr::new(100), 4);
         log.record_free(PAddr::new(200), 4);
         log.clear();
-        assert_eq!(log.allocations(), 0);
-        assert_eq!(log.deferred_frees(), 0);
+        assert!(log.is_empty());
     }
 }

@@ -29,20 +29,6 @@ impl CraftyVariant {
     }
 }
 
-/// Whether Crafty itself provides thread atomicity.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum ThreadingMode {
-    /// Thread-safe mode (the paper's focus): persistent transactions get
-    /// all ACID properties from Crafty itself.
-    #[default]
-    ThreadSafe,
-    /// Thread-unsafe mode: some other mechanism (locks) already provides
-    /// atomicity, so Crafty only provides failure atomicity / durability.
-    /// The Redo phase runs unconditionally and Validate is never needed
-    /// (Section 4.4, Figure 4).
-    ThreadUnsafe,
-}
-
 /// Which software fallback serializes transactions that exhaust their
 /// hardware retry budget.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -76,8 +62,6 @@ impl FallbackPolicy {
 pub struct CraftyConfig {
     /// Which Crafty configuration to run.
     pub variant: CraftyVariant,
-    /// Whether Crafty provides thread atomicity or only durability.
-    pub mode: ThreadingMode,
     /// How many times a persistent transaction restarts its phases before
     /// falling back to the single global lock.
     pub max_phase_restarts: u32,
@@ -99,7 +83,7 @@ pub struct CraftyConfig {
     /// Which software fallback serializes transactions that exhaust their
     /// hardware retry budget.
     pub fallback: FallbackPolicy,
-    /// Testing hook: when true, every thread-safe transaction skips the
+    /// Testing hook: when true, every transaction skips the
     /// hardware phases and goes straight to the configured fallback, so
     /// torture and contention suites can put crash points and conflicts
     /// inside the fallback windows deterministically.
@@ -112,7 +96,6 @@ impl CraftyConfig {
     pub fn small_for_tests() -> Self {
         CraftyConfig {
             variant: CraftyVariant::Full,
-            mode: ThreadingMode::ThreadSafe,
             max_phase_restarts: 8,
             htm_retries_per_phase: 4,
             undo_log_entries: 256,
@@ -128,7 +111,6 @@ impl CraftyConfig {
     pub fn benchmark(max_threads: usize) -> Self {
         CraftyConfig {
             variant: CraftyVariant::Full,
-            mode: ThreadingMode::ThreadSafe,
             max_phase_restarts: 8,
             htm_retries_per_phase: 4,
             undo_log_entries: 1 << 14,
@@ -143,12 +125,6 @@ impl CraftyConfig {
     /// Sets the variant (builder style).
     pub fn with_variant(mut self, variant: CraftyVariant) -> Self {
         self.variant = variant;
-        self
-    }
-
-    /// Sets the threading mode (builder style).
-    pub fn with_mode(mut self, mode: ThreadingMode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -176,7 +152,7 @@ impl CraftyConfig {
         self
     }
 
-    /// Forces every thread-safe transaction through the software fallback
+    /// Forces every transaction through the software fallback
     /// (builder style). A testing hook — see [`CraftyConfig::force_fallback`].
     pub fn with_force_fallback(mut self, force: bool) -> Self {
         self.force_fallback = force;
@@ -206,12 +182,10 @@ mod tests {
     fn builders_compose() {
         let cfg = CraftyConfig::small_for_tests()
             .with_variant(CraftyVariant::NoRedo)
-            .with_mode(ThreadingMode::ThreadUnsafe)
             .with_undo_log_entries(64)
             .with_heap_words(1024)
             .with_max_threads(2);
         assert_eq!(cfg.variant, CraftyVariant::NoRedo);
-        assert_eq!(cfg.mode, ThreadingMode::ThreadUnsafe);
         assert_eq!(cfg.undo_log_entries, 64);
         assert_eq!(cfg.heap_words, 1024);
         assert_eq!(cfg.max_threads, 2);
@@ -221,7 +195,6 @@ mod tests {
     fn default_is_thread_safe_full() {
         let cfg = CraftyConfig::default();
         assert_eq!(cfg.variant, CraftyVariant::Full);
-        assert_eq!(cfg.mode, ThreadingMode::ThreadSafe);
         assert!(cfg.max_phase_restarts > 0);
         assert_eq!(cfg.fallback, FallbackPolicy::PerLine);
         assert!(!cfg.force_fallback);

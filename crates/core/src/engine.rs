@@ -84,7 +84,6 @@ impl std::fmt::Debug for Crafty {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Crafty")
             .field("variant", &self.cfg.variant)
-            .field("mode", &self.cfg.mode)
             .field("threads", &self.threads.len())
             .finish()
     }
@@ -290,7 +289,7 @@ impl Crafty {
                 return;
             }
             if self.mem.pending_flushes(target_tid) > 0 {
-                self.mem.drain(target_tid);
+                self.drain(target_tid);
             }
             let ts = self.clock.now();
             let mut txn = self.htm.begin(via_tid);
@@ -307,7 +306,7 @@ impl Crafty {
             shared
                 .undo_log
                 .flush_marker(&self.mem, via_tid, info.marker_abs);
-            self.mem.drain(via_tid);
+            self.drain(via_tid);
             shared.last_seq_ts.fetch_max(ts.raw(), Ordering::AcqRel);
             return;
         }
@@ -324,7 +323,7 @@ impl Crafty {
         shared
             .undo_log
             .flush_marker(&self.mem, tid, info.marker_abs);
-        self.mem.drain(tid);
+        self.drain(tid);
         shared.last_seq_ts.fetch_max(ts.raw(), Ordering::AcqRel);
     }
 }
@@ -357,20 +356,15 @@ impl PersistentTm for Crafty {
         // quiesce survives a subsequent crash (the evaluation measures
         // steady-state throughput; quiesce marks the end of a run).
         for tid in 0..self.cfg.max_threads {
-            self.mem.drain(tid);
+            self.drain(tid);
             self.persist_now_quiesced(tid);
         }
     }
 
     fn persist_fence(&self, calling_tid: usize) {
-        let t0 = crafty_common::trace::phase_start();
-        self.persist_now(calling_tid);
-        if let Some(t0) = t0 {
-            self.recorder.record_phase_cycles(
-                crafty_common::TxnPhase::Fence,
-                crafty_common::trace::phase_elapsed(t0),
-            );
-        }
+        self.timed(crafty_common::TxnPhase::Fence, || {
+            self.persist_now(calling_tid)
+        });
         crafty_common::trace::record(calling_tid, crafty_common::TraceEventKind::PersistFence, 0);
     }
 }
@@ -489,6 +483,28 @@ mod tests {
             "idle thread must have been forced to commit an empty sequence"
         );
         assert!(crafty.ts_lower_bound.load(Ordering::Relaxed) > 0);
+    }
+
+    #[test]
+    fn software_fallbacks_keep_the_max_lag_bound() {
+        for policy in [crate::FallbackPolicy::PerLine, crate::FallbackPolicy::Sgl] {
+            let mem = Arc::new(MemorySpace::new(PmemConfig::small_for_tests()));
+            let cfg = CraftyConfig::small_for_tests()
+                .with_max_threads(2)
+                .with_fallback(policy)
+                .with_force_fallback(true);
+            let crafty = Crafty::new(Arc::clone(&mem), CraftyConfig { max_lag: 4, ..cfg });
+            let cell = mem.reserve_persistent(1);
+            let mut thread = crafty.register_thread(0);
+            for v in 1..=8 {
+                thread.execute(&mut |ops| ops.write(cell, v));
+            }
+            assert!(
+                crafty.threads[1].last_seq_ts.load(Ordering::Relaxed) > 0,
+                "{}: the idle thread must be pinned once the clock outruns MAX_LAG",
+                policy.label()
+            );
+        }
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //! undo log can be persisted *before* any program write becomes visible —
 //! and the full Crafty engine built on it:
 //!
-//! * the **Log**, **Redo**, and **Validate** phases and the single-global-
-//!   lock fallback of thread-safe mode (Sections 3–4, Figure 3);
-//! * **thread-unsafe mode** for programs that already provide atomicity
-//!   (Section 4.4, Figure 4);
+//! * the **Log**, **Redo**, and **Validate** phases and the software
+//!   fallback of thread-safe mode (Sections 3–4, Figure 3) — per-line
+//!   write locks by default, or the paper's single global lock. The
+//!   paper's thread-unsafe mode (Section 4.4) is not reproduced: nothing
+//!   in this repository runs it;
 //! * per-thread **circular persistent undo logs** with wraparound bits,
 //!   merged LOGGED/COMMITTED markers, and the `tsLowerBound`/`MAX_LAG`
 //!   bookkeeping (Sections 5.2 and 6);
@@ -72,7 +73,7 @@ pub mod thread;
 pub mod undo_log;
 
 pub use alloc_log::AllocLog;
-pub use config::{CraftyConfig, CraftyVariant, FallbackPolicy, ThreadingMode};
+pub use config::{CraftyConfig, CraftyVariant, FallbackPolicy};
 pub use engine::Crafty;
 pub use recovery::{
     logs_are_clean, parse_sequences, recover, recover_interrupted, InterruptedRecovery,

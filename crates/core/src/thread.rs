@@ -1,15 +1,17 @@
 //! Per-thread execution of persistent transactions: the Log, Redo, and
-//! Validate phases, the SGL fallback, and the thread-unsafe mode.
+//! Validate phases and the software fallbacks.
 //!
-//! The control flow follows Figures 3 and 4 of the paper:
+//! The control flow follows Figure 3 of the paper: run the Log phase
+//! (nondestructive undo logging) in a hardware transaction, flush the undo
+//! entries, then try to commit the program's writes with the Redo phase; if
+//! its conservative timestamp check fails, re-execute the body under the
+//! Validate phase; after repeated failures fall back to software — per-line
+//! write locks by default, or the single global lock (SGL).
 //!
-//! * **Thread-safe mode** — run the Log phase (nondestructive undo logging)
-//!   in a hardware transaction, flush the undo entries, then try to commit
-//!   the program's writes with the Redo phase; if its conservative
-//!   timestamp check fails, re-execute the body under the Validate phase;
-//!   after repeated failures fall back to the single global lock (SGL).
-//! * **Thread-unsafe mode** — the program already provides atomicity, so
-//!   the Redo phase runs unconditionally and Validate is never needed.
+//! The paths share their durability steps: every undo-log append is
+//! followed by one post-append step (flush, count, Section 5.2 lag
+//! maintenance), Redo and Validate end in one hardware commit tail, and
+//! both software fallbacks end in one durability epilogue.
 //!
 //! One deliberate implementation difference from the paper is documented on
 //! [`CraftyThread`]: inside SGL sections this implementation buffers the
@@ -21,14 +23,16 @@
 //! compiler-instrumented transactions can.
 
 use crafty_common::trace::{self, AbortCause, TraceEventKind, TxnPhase};
-use crafty_common::{CompletionPath, PAddr, TmThread, TxAbort, TxnBody, TxnOps, TxnReport};
+use crafty_common::{
+    CompletionPath, PAddr, Timestamp, TmThread, TxAbort, TxnBody, TxnOps, TxnReport,
+};
 use crafty_htm::{FallbackTxn, GenMap, HwTxn};
 use crafty_pmem::{MemorySpace, PmemAllocator};
 
 use crate::alloc_log::AllocLog;
-use crate::config::{CraftyVariant, FallbackPolicy, ThreadingMode};
+use crate::config::{CraftyVariant, FallbackPolicy};
 use crate::engine::{Crafty, ABORT_REDO_TS_CHECK, ABORT_SGL_HELD, ABORT_VALIDATE_MISMATCH};
-use crate::undo_log::MarkerKind;
+use crate::undo_log::{AppendInfo, MarkerKind};
 
 /// One program write captured by the Log phase.
 #[derive(Clone, Copy, Debug)]
@@ -65,6 +69,28 @@ enum CommitOutcome {
     Failed,
 }
 
+/// A hardware phase's subscription to the single global lock (see
+/// `subscribe_sgl`).
+enum Subscription {
+    /// The lock word reads free, or the policy needs no subscription.
+    Clear,
+    /// The lock is held; the transaction has been aborted explicitly.
+    Held,
+    /// The hardware transaction aborted reading the lock word.
+    Aborted,
+}
+
+/// Where a software fallback's buffered writes live (see
+/// `software_commit`).
+enum SoftwareWrites<'a, 'rt> {
+    /// Per-line fallback: in the fallback descriptor, whose write-set line
+    /// locks are held.
+    PerLine(&'a mut FallbackTxn<'rt>),
+    /// SGL fallback: in the thread's `buffered_vals`/`buffered_order`,
+    /// under the held global lock.
+    Sgl,
+}
+
 /// A worker thread's handle onto a [`Crafty`] engine.
 ///
 /// Obtained from [`crafty_common::PersistentTm::register_thread`]; executes
@@ -87,17 +113,16 @@ pub struct CraftyThread<'c> {
     /// Redo log built while rolling back (reverse program order); the Redo
     /// phase applies it back-to-front. Reused across transactions.
     redo_buf: Vec<(PAddr, u64)>,
-    /// The persistent subset of `undo_buf` as `<addr, oldValue>` pairs:
-    /// what the Log phase appends to the undo log and what the Validate
-    /// phase checks re-executed writes against. Reused across transactions.
+    /// The persistent writes as `<addr, oldValue>` pairs: what the Log
+    /// phase or a software fallback appends to the undo log, and what the
+    /// Validate phase checks re-executed writes against. Reused across
+    /// transactions.
     entries_buf: Vec<(PAddr, u64)>,
-    /// Buffered write values for SGL / thread-unsafe fallback execution
-    /// (word → value), with O(1) generation clear.
+    /// Buffered write values of the SGL fallback (word → value), with O(1)
+    /// generation clear.
     buffered_vals: GenMap,
     /// First-write order of the buffered execution's distinct words.
     buffered_order: Vec<PAddr>,
-    /// Persistent addresses written by the buffered execution.
-    persistent_addrs_buf: Vec<PAddr>,
 }
 
 impl std::fmt::Debug for CraftyThread<'_> {
@@ -105,6 +130,33 @@ impl std::fmt::Debug for CraftyThread<'_> {
         f.debug_struct("CraftyThread")
             .field("tid", &self.tid)
             .finish()
+    }
+}
+
+// The drain and phase-timer helpers of the pipeline below; the engine's
+// pins and fence (engine.rs) use them too.
+impl Crafty {
+    /// Drains `tid`'s flush queue and counts the drain in the breakdown.
+    /// Every drain the engine issues itself goes through here (hardware
+    /// begins and commits count their own), so
+    /// [`crafty_common::BreakdownSnapshot::persist_drains`] matches the
+    /// memory space's drain count.
+    pub(crate) fn drain(&self, tid: usize) {
+        self.mem.drain(tid);
+        self.recorder.record_drain();
+    }
+
+    /// Runs `f`, charging its elapsed cycles to `phase` when phase timing
+    /// is on.
+    #[inline]
+    pub(crate) fn timed<R>(&self, phase: TxnPhase, f: impl FnOnce() -> R) -> R {
+        let t0 = trace::phase_start();
+        let result = f();
+        if let Some(t0) = t0 {
+            self.recorder
+                .record_phase_cycles(phase, trace::phase_elapsed(t0));
+        }
+        result
     }
 }
 
@@ -120,7 +172,6 @@ impl<'c> CraftyThread<'c> {
             entries_buf: Vec::new(),
             buffered_vals: GenMap::new(),
             buffered_order: Vec::new(),
-            persistent_addrs_buf: Vec::new(),
         }
     }
 
@@ -130,92 +181,94 @@ impl<'c> CraftyThread<'c> {
     }
 
     // ------------------------------------------------------------------
-    // Thread-safe mode (Figure 3)
+    // The hardware phases (Figure 3)
     // ------------------------------------------------------------------
 
-    fn execute_thread_safe(&mut self, body: &mut TxnBody<'_>) -> TxnReport {
+    /// Log → Redo → Validate, restarting from the Log phase after a failed
+    /// commit, until the restart budget is spent (or at once, under
+    /// `force_fallback`); then the software fallback.
+    fn run(&mut self, body: &mut TxnBody<'_>) -> TxnReport {
         let engine = self.engine;
         let mut hw_attempts = 0u32;
         let mut restarts = 0u32;
-        if engine.cfg.force_fallback {
-            return self.execute_fallback(body, &mut hw_attempts);
-        }
-        loop {
-            if restarts > engine.cfg.max_phase_restarts {
-                return self.execute_fallback(body, &mut hw_attempts);
-            }
+        while !engine.cfg.force_fallback && restarts <= engine.cfg.max_phase_restarts {
+            restarts += 1;
             if engine.cfg.fallback == FallbackPolicy::Sgl {
                 self.wait_for_sgl_free();
             }
-            let log_t0 = trace::phase_start();
-            let logged = self.log_phase(body, &mut hw_attempts);
-            if let Some(t0) = log_t0 {
-                engine
-                    .recorder
-                    .record_phase_cycles(TxnPhase::Log, trace::phase_elapsed(t0));
-            }
+            let logged = engine.timed(TxnPhase::Log, || self.log_phase(body, &mut hw_attempts));
             let seq = match logged {
-                LogOutcome::ReadOnly => {
-                    self.alloc_log.clear();
-                    engine.recorder.record_completion(CompletionPath::ReadOnly);
-                    return TxnReport::new(CompletionPath::ReadOnly, hw_attempts);
-                }
-                LogOutcome::Aborted => {
-                    restarts += 1;
-                    continue;
-                }
+                LogOutcome::ReadOnly => return self.read_only(hw_attempts),
+                LogOutcome::Aborted => continue,
                 LogOutcome::Logged(seq) => seq,
             };
 
             if engine.cfg.variant != CraftyVariant::NoRedo {
-                let redo_t0 = trace::phase_start();
-                let redo = self.redo_phase(&seq, &mut hw_attempts);
-                if let Some(t0) = redo_t0 {
-                    engine
-                        .recorder
-                        .record_phase_cycles(TxnPhase::Redo, trace::phase_elapsed(t0));
-                }
+                let redo = engine.timed(TxnPhase::Redo, || self.redo_phase(&seq, &mut hw_attempts));
                 if let CommitOutcome::Committed = redo {
-                    return self.finish(CompletionPath::Redo, &seq, hw_attempts);
+                    return self.finish(CompletionPath::Redo, seq.persistent_writes, hw_attempts);
                 }
                 if engine.cfg.variant == CraftyVariant::NoValidate {
-                    restarts += 1;
                     continue;
                 }
             }
-            let validate_t0 = trace::phase_start();
-            let validated = self.validate_phase(body, &seq, &mut hw_attempts);
-            if let Some(t0) = validate_t0 {
-                engine
-                    .recorder
-                    .record_phase_cycles(TxnPhase::Validate, trace::phase_elapsed(t0));
-            }
-            match validated {
-                CommitOutcome::Committed => {
-                    return self.finish(CompletionPath::Validate, &seq, hw_attempts);
-                }
-                CommitOutcome::Failed => {
-                    restarts += 1;
-                    continue;
-                }
+            let validated = engine.timed(TxnPhase::Validate, || {
+                self.validate_phase(body, &seq, &mut hw_attempts)
+            });
+            if let CommitOutcome::Committed = validated {
+                return self.finish(CompletionPath::Validate, seq.persistent_writes, hw_attempts);
             }
         }
+        self.execute_fallback(body, hw_attempts)
     }
 
-    fn finish(&mut self, path: CompletionPath, seq: &LoggedSeq, hw_attempts: u32) -> TxnReport {
+    fn finish(
+        &mut self,
+        path: CompletionPath,
+        persistent_writes: u64,
+        hw_attempts: u32,
+    ) -> TxnReport {
         let engine = self.engine;
         self.alloc_log.apply_frees(&engine.allocator);
-        engine
-            .recorder
-            .record_persistent_writes(seq.persistent_writes);
+        engine.recorder.record_persistent_writes(persistent_writes);
         engine.recorder.record_completion(path);
         TxnReport::new(path, hw_attempts)
+    }
+
+    /// Completes a read-only transaction: nothing was logged or persisted
+    /// (Section 4.1).
+    fn read_only(&mut self, hw_attempts: u32) -> TxnReport {
+        self.alloc_log.clear();
+        self.engine
+            .recorder
+            .record_completion(CompletionPath::ReadOnly);
+        TxnReport::new(CompletionPath::ReadOnly, hw_attempts)
     }
 
     fn wait_for_sgl_free(&self) {
         let engine = self.engine;
         while engine.htm.nontx_read(engine.sgl_addr) != 0 {
             std::thread::yield_now();
+        }
+    }
+
+    /// Under the SGL policy every hardware phase subscribes to the global
+    /// lock word and aborts explicitly while it is held. The per-line
+    /// policy drops this global subscription entirely: fallback
+    /// transactions announce themselves through the lock words of exactly
+    /// the lines they write, and the phases' own reads already watch those.
+    fn subscribe_sgl(&self, txn: &mut HwTxn<'_>) -> Subscription {
+        let engine = self.engine;
+        if engine.cfg.fallback != FallbackPolicy::Sgl {
+            return Subscription::Clear;
+        }
+        match txn.read(engine.sgl_addr) {
+            Ok(0) => Subscription::Clear,
+            Ok(_) => {
+                txn.abort_explicit(ABORT_SGL_HELD);
+                Subscription::Held
+            }
+            Err(_) => Subscription::Aborted,
         }
     }
 
@@ -244,22 +297,14 @@ impl<'c> CraftyThread<'c> {
             } else {
                 engine.htm.begin(self.tid)
             };
-            // Under the SGL policy every hardware phase subscribes to the
-            // global lock word. The per-line policy drops this global
-            // subscription entirely: fallback transactions announce
-            // themselves through the lock words of exactly the lines they
-            // write, and the per-line reads above already watch those.
-            if engine.cfg.fallback == FallbackPolicy::Sgl {
-                match txn.read(engine.sgl_addr) {
-                    Ok(0) => {}
-                    Ok(_) => {
-                        txn.abort_explicit(ABORT_SGL_HELD);
-                        drop(txn);
-                        self.wait_for_sgl_free();
-                        continue;
-                    }
-                    Err(_) => continue,
+            match self.subscribe_sgl(&mut txn) {
+                Subscription::Clear => {}
+                Subscription::Held => {
+                    drop(txn);
+                    self.wait_for_sgl_free();
+                    continue;
                 }
+                Subscription::Aborted => continue,
             }
 
             self.undo_buf.clear();
@@ -276,10 +321,7 @@ impl<'c> CraftyThread<'c> {
                 }
             }
 
-            if self.undo_buf.is_empty()
-                && self.alloc_log.allocations() == 0
-                && self.alloc_log.deferred_frees() == 0
-            {
+            if self.undo_buf.is_empty() && self.alloc_log.is_empty() {
                 // Read-only transactions skip logging, persisting, and the
                 // Redo/Validate phases entirely (Section 4.1).
                 match txn.commit() {
@@ -333,41 +375,44 @@ impl<'c> CraftyThread<'c> {
                 Ok(wv) => wv,
                 Err(_) => continue,
             };
-
-            let flushed_lines =
-                undo_log.flush_entries(&engine.mem, self.tid, info.first_abs, info.marker_abs);
-            engine.recorder.record_flushed_lines(flushed_lines);
-            engine.note_sequence(self.tid, log_ts);
-            trace::record(
-                self.tid,
-                TraceEventKind::UndoAppend,
-                self.entries_buf.len() as u64,
-            );
-
-            // Section 5.2 housekeeping: this append crossed into the other
-            // half of the circular log, so the thread is about to start
-            // overwriting previous-lap entries. Every other thread must log
-            // a sequence at least as recent as this one before that happens,
-            // so that the recovery cutoff can never fall back onto entries
-            // that get discarded. The MAX_LAG bound is re-established at the
-            // same point.
-            let crossed = undo_log.crosses_half(info.first_abs, self.entries_buf.len() as u64 + 1);
-            let lag_exceeded = engine.clock.current().raw()
-                >= engine
-                    .ts_lower_bound
-                    .load(std::sync::atomic::Ordering::Acquire)
-                    .saturating_add(engine.cfg.max_lag);
-            if crossed || lag_exceeded {
-                engine.maintain_ts_lower_bound(self.tid, log_ts.raw());
-            }
-
+            self.after_append(&info, log_ts);
             return LogOutcome::Logged(LoggedSeq {
-                persistent_writes: self.entries_buf.len() as u64,
+                persistent_writes: info.data_entries,
                 marker_abs: info.marker_abs,
                 log_commit_version,
             });
         }
         LogOutcome::Aborted
+    }
+
+    /// The step after every undo-log append, hardware or software: flush
+    /// the appended entries (no drain), record the sequence, and run the
+    /// Section 5.2 housekeeping.
+    fn after_append(&self, info: &AppendInfo, log_ts: Timestamp) {
+        let engine = self.engine;
+        let undo_log = engine.threads[self.tid].undo_log;
+        let flushed_lines =
+            undo_log.flush_entries(&engine.mem, self.tid, info.first_abs, info.marker_abs);
+        engine.recorder.record_flushed_lines(flushed_lines);
+        engine.note_sequence(self.tid, log_ts);
+        trace::record(self.tid, TraceEventKind::UndoAppend, info.data_entries);
+
+        // Section 5.2 housekeeping: this append crossed into the other
+        // half of the circular log, so the thread is about to start
+        // overwriting previous-lap entries. Every other thread must log
+        // a sequence at least as recent as this one before that happens,
+        // so that the recovery cutoff can never fall back onto entries
+        // that get discarded. The MAX_LAG bound is re-established at the
+        // same point.
+        let crossed = undo_log.crosses_half(info.first_abs, info.data_entries + 1);
+        let lag_exceeded = engine.clock.current().raw()
+            >= engine
+                .ts_lower_bound
+                .load(std::sync::atomic::Ordering::Acquire)
+                .saturating_add(engine.cfg.max_lag);
+        if crossed || lag_exceeded {
+            engine.maintain_ts_lower_bound(self.tid, log_ts.raw());
+        }
     }
 
     /// The Redo phase (Algorithm 2, thread-safe variant): check that no
@@ -387,19 +432,13 @@ impl<'c> CraftyThread<'c> {
     /// visibility.
     fn redo_phase(&mut self, seq: &LoggedSeq, hw_attempts: &mut u32) -> CommitOutcome {
         let engine = self.engine;
-        let undo_log = engine.threads[self.tid].undo_log;
         for _ in 0..=engine.cfg.htm_retries_per_phase {
             *hw_attempts += 1;
             let mut txn = engine.htm.begin(self.tid);
-            if engine.cfg.fallback == FallbackPolicy::Sgl {
-                match txn.read(engine.sgl_addr) {
-                    Ok(0) => {}
-                    Ok(_) => {
-                        txn.abort_explicit(ABORT_SGL_HELD);
-                        return CommitOutcome::Failed;
-                    }
-                    Err(_) => continue,
-                }
+            match self.subscribe_sgl(&mut txn) {
+                Subscription::Clear => {}
+                Subscription::Held => return CommitOutcome::Failed,
+                Subscription::Aborted => continue,
             }
             let g_last = match txn.read(engine.g_last_redo_ts_addr) {
                 Ok(v) => v,
@@ -412,47 +451,14 @@ impl<'c> CraftyThread<'c> {
                 txn.abort_explicit(ABORT_REDO_TS_CHECK);
                 return CommitOutcome::Failed;
             }
-            let foreign_append = match self.touch_log_head(&mut txn, seq) {
-                Ok(v) => v,
-                Err(()) => continue,
-            };
-            let commit_ts = engine.timestamp();
-            let mut ok = true;
-            for &(addr, value) in self.redo_buf.iter().rev() {
-                if txn.write(addr, value).is_err() {
-                    ok = false;
-                    break;
-                }
+            if self.hw_commit(txn, seq, &self.redo_buf).is_ok() {
+                trace::record(
+                    self.tid,
+                    TraceEventKind::RedoApply,
+                    self.redo_buf.len() as u64,
+                );
+                return CommitOutcome::Committed;
             }
-            if !ok {
-                continue;
-            }
-            if txn
-                .publish_commit_version(engine.g_last_redo_ts_addr)
-                .is_err()
-            {
-                continue;
-            }
-            if undo_log
-                .commit_marker_txn(&mut txn, seq.marker_abs, seq.persistent_writes, commit_ts)
-                .is_err()
-            {
-                continue;
-            }
-            if self.flush_writes_on_commit(&mut txn, seq).is_err() {
-                continue;
-            }
-            if txn.commit().is_err() {
-                continue;
-            }
-            self.after_commit(foreign_append);
-            engine.note_sequence(self.tid, commit_ts);
-            trace::record(
-                self.tid,
-                TraceEventKind::RedoApply,
-                self.redo_buf.len() as u64,
-            );
-            return CommitOutcome::Committed;
         }
         CommitOutcome::Failed
     }
@@ -469,21 +475,15 @@ impl<'c> CraftyThread<'c> {
         hw_attempts: &mut u32,
     ) -> CommitOutcome {
         let engine = self.engine;
-        let undo_log = engine.threads[self.tid].undo_log;
         // The expected `<addr, oldValue>` pairs are exactly the persistent
         // entries the Log phase left in `entries_buf` (untouched since).
         for _ in 0..=engine.cfg.htm_retries_per_phase {
             *hw_attempts += 1;
             let mut txn = engine.htm.begin(self.tid);
-            if engine.cfg.fallback == FallbackPolicy::Sgl {
-                match txn.read(engine.sgl_addr) {
-                    Ok(0) => {}
-                    Ok(_) => {
-                        txn.abort_explicit(ABORT_SGL_HELD);
-                        return CommitOutcome::Failed;
-                    }
-                    Err(_) => continue,
-                }
+            match self.subscribe_sgl(&mut txn) {
+                Subscription::Clear => {}
+                Subscription::Held => return CommitOutcome::Failed,
+                Subscription::Aborted => continue,
             }
             self.alloc_log.start_replay();
             let (body_result, consumed, mismatch) = {
@@ -511,34 +511,48 @@ impl<'c> CraftyThread<'c> {
                 txn.abort_explicit(ABORT_VALIDATE_MISMATCH);
                 return CommitOutcome::Failed;
             }
-            let foreign_append = match self.touch_log_head(&mut txn, seq) {
-                Ok(v) => v,
-                Err(()) => continue,
-            };
-            let commit_ts = engine.timestamp();
-            if txn
-                .publish_commit_version(engine.g_last_redo_ts_addr)
-                .is_err()
-            {
-                continue;
+            // The re-executed body already performed the writes.
+            if self.hw_commit(txn, seq, &[]).is_ok() {
+                return CommitOutcome::Committed;
             }
-            if undo_log
-                .commit_marker_txn(&mut txn, seq.marker_abs, seq.persistent_writes, commit_ts)
-                .is_err()
-            {
-                continue;
-            }
-            if self.flush_writes_on_commit(&mut txn, seq).is_err() {
-                continue;
-            }
-            if txn.commit().is_err() {
-                continue;
-            }
-            self.after_commit(foreign_append);
-            engine.note_sequence(self.tid, commit_ts);
-            return CommitOutcome::Committed;
         }
         CommitOutcome::Failed
+    }
+
+    /// The hardware commit tail shared by the Redo and Validate phases:
+    /// apply `redo` (back-to-front), advance `gLastRedoTS` to this commit's
+    /// version, turn the LOGGED marker into COMMITTED, and request the
+    /// write-backs — all inside `txn` — then commit. `Err` is a hardware
+    /// abort; the phase retries.
+    fn hw_commit(
+        &self,
+        mut txn: HwTxn<'_>,
+        seq: &LoggedSeq,
+        redo: &[(PAddr, u64)],
+    ) -> Result<(), ()> {
+        let engine = self.engine;
+        let foreign_append = self.touch_log_head(&mut txn, seq)?;
+        let commit_ts = engine.timestamp();
+        for &(addr, value) in redo.iter().rev() {
+            txn.write(addr, value).map_err(|_| ())?;
+        }
+        txn.publish_commit_version(engine.g_last_redo_ts_addr)
+            .map_err(|_| ())?;
+        engine.threads[self.tid]
+            .undo_log
+            .commit_marker_txn(&mut txn, seq.marker_abs, seq.persistent_writes, commit_ts)
+            .map_err(|_| ())?;
+        self.flush_writes_on_commit(&mut txn, seq)?;
+        txn.commit().map_err(|_| ())?;
+        // If another thread appended to this thread's log while the
+        // transaction was in flight, this sequence is no longer the latest
+        // one (the one recovery rolls back), so its writes must be made
+        // durable immediately.
+        if foreign_append {
+            engine.drain(self.tid);
+        }
+        engine.note_sequence(self.tid, commit_ts);
+        Ok(())
     }
 
     /// The marker kind for a sequence this thread is about to log. A
@@ -563,7 +577,7 @@ impl<'c> CraftyThread<'c> {
     /// the log's latest and its writes must be drained eagerly, and (b)
     /// orders such refresh appends with this commit so the forcing thread's
     /// subsequent drain covers the flushes enqueued here.
-    fn touch_log_head(&self, txn: &mut crafty_htm::HwTxn<'_>, seq: &LoggedSeq) -> Result<bool, ()> {
+    fn touch_log_head(&self, txn: &mut HwTxn<'_>, seq: &LoggedSeq) -> Result<bool, ()> {
         let engine = self.engine;
         let head_addr = engine.threads[self.tid].undo_log.head_addr();
         let head = txn.read(head_addr).map_err(|_| ())?;
@@ -577,11 +591,7 @@ impl<'c> CraftyThread<'c> {
     /// completes the persist, and recovery always rolls back the thread's
     /// latest sequence in case these write-backs had not finished
     /// (Section 4.2).
-    fn flush_writes_on_commit(
-        &self,
-        txn: &mut crafty_htm::HwTxn<'_>,
-        seq: &LoggedSeq,
-    ) -> Result<(), ()> {
+    fn flush_writes_on_commit(&self, txn: &mut HwTxn<'_>, seq: &LoggedSeq) -> Result<(), ()> {
         let engine = self.engine;
         for rec in &self.undo_buf {
             if rec.persistent {
@@ -596,29 +606,31 @@ impl<'c> CraftyThread<'c> {
         Ok(())
     }
 
-    /// Post-commit handling: if another thread appended to this thread's
-    /// log while the transaction was in flight, this sequence is no longer
-    /// the latest one (the one recovery rolls back), so its writes must be
-    /// made durable immediately.
-    fn after_commit(&self, foreign_append: bool) {
-        if foreign_append {
-            self.engine.mem.drain(self.tid);
-            self.engine.recorder.record_drain();
-        }
-    }
-
     // ------------------------------------------------------------------
-    // Software fallbacks and thread-unsafe mode (Figure 4)
+    // Software fallbacks
     // ------------------------------------------------------------------
 
     /// Dispatches to the configured software fallback once the hardware
     /// phases have exhausted their restart budget (or immediately, under
     /// `force_fallback`).
-    fn execute_fallback(&mut self, body: &mut TxnBody<'_>, hw_attempts: &mut u32) -> TxnReport {
-        match self.engine.cfg.fallback {
-            FallbackPolicy::Sgl => self.execute_sgl(body, hw_attempts),
+    fn execute_fallback(&mut self, body: &mut TxnBody<'_>, hw_attempts: u32) -> TxnReport {
+        let engine = self.engine;
+        // Entering the fallback is itself a taxonomy entry, whichever
+        // fallback it is: the phase machinery gave up, which is the signal
+        // an adaptive mode switcher would act on.
+        engine.recorder.record_abort_cause(AbortCause::SglFallback);
+        trace::record(
+            self.tid,
+            TraceEventKind::Abort,
+            AbortCause::SglFallback.index() as u64,
+        );
+        engine.timed(TxnPhase::Sgl, || match engine.cfg.fallback {
+            FallbackPolicy::Sgl => {
+                let _sgl = engine.acquire_sgl();
+                self.execute_sgl(body, hw_attempts)
+            }
             FallbackPolicy::PerLine => self.execute_per_line(body, hw_attempts),
-        }
+        })
     }
 
     /// Per-line locking fallback: run the body against a snapshot with
@@ -646,20 +658,10 @@ impl<'c> CraftyThread<'c> {
     /// in-place write — here the whole sequence happens inside the
     /// lock-hold window, which is why the fault clock ticks at each lock
     /// transition (crash points land inside the window).
-    fn execute_per_line(&mut self, body: &mut TxnBody<'_>, hw_attempts: &mut u32) -> TxnReport {
+    fn execute_per_line(&mut self, body: &mut TxnBody<'_>, hw_attempts: u32) -> TxnReport {
         let engine = self.engine;
-        let undo_log = engine.threads[self.tid].undo_log;
-        // Entering the fallback is a taxonomy event regardless of which
-        // fallback it is: the phase machinery gave up.
-        engine.recorder.record_abort_cause(AbortCause::SglFallback);
-        trace::record(
-            self.tid,
-            TraceEventKind::Abort,
-            AbortCause::SglFallback.index() as u64,
-        );
-        let fb_t0 = trace::phase_start();
         let mut body_failures = 0u32;
-        let report = loop {
+        loop {
             self.alloc_log.release_allocations(&engine.allocator);
             let mut fb = engine.htm.begin_fallback(self.tid);
             let conflicted = {
@@ -692,15 +694,10 @@ impl<'c> CraftyThread<'c> {
                 std::thread::yield_now();
                 continue;
             }
-            if !fb.has_writes()
-                && self.alloc_log.allocations() == 0
-                && self.alloc_log.deferred_frees() == 0
-            {
+            if !fb.has_writes() && self.alloc_log.is_empty() {
                 // Read-only: every value handed to the body was consistent
                 // at the begin snapshot; nothing to lock or persist.
-                self.alloc_log.clear();
-                engine.recorder.record_completion(CompletionPath::ReadOnly);
-                break TxnReport::new(CompletionPath::ReadOnly, *hw_attempts);
+                return self.read_only(hw_attempts);
             }
 
             fb.lock_write_set();
@@ -712,170 +709,17 @@ impl<'c> CraftyThread<'c> {
                 std::thread::yield_now();
                 continue;
             }
-
-            // Undo entries: the pre-publish values of the persistent
-            // write-set words, read under the held locks.
-            self.persistent_addrs_buf.clear();
-            self.persistent_addrs_buf.extend(
-                fb.write_order()
-                    .iter()
-                    .copied()
-                    .filter(|a| engine.mem.is_persistent(*a)),
-            );
-            self.entries_buf.clear();
-            self.entries_buf.extend(
-                self.persistent_addrs_buf
-                    .iter()
-                    .map(|a| (*a, fb.read_locked(*a))),
-            );
-            let log_ts = engine.timestamp();
-            let info = undo_log.append_sequence_nontx(
-                &engine.htm,
-                &self.entries_buf,
-                self.logged_kind(),
-                log_ts,
-            );
-            undo_log.flush_entries(&engine.mem, self.tid, info.first_abs, info.marker_abs);
-            engine.mem.drain(self.tid);
-            engine.recorder.record_drain();
-            trace::record(
-                self.tid,
-                TraceEventKind::UndoAppend,
-                self.entries_buf.len() as u64,
-            );
-            if undo_log.crosses_half(info.first_abs, self.entries_buf.len() as u64 + 1) {
-                engine.maintain_ts_lower_bound(self.tid, log_ts.raw());
-            }
-
-            fb.publish();
-            for addr in &self.persistent_addrs_buf {
-                engine.mem.clwb(self.tid, *addr);
-            }
-            let commit_ts = engine.timestamp();
-            undo_log.commit_marker_nontx(
-                &engine.htm,
-                info.marker_abs,
-                info.data_entries,
-                commit_ts,
-            );
-            undo_log.flush_marker(&engine.mem, self.tid, info.marker_abs);
-            if !self.deferred_mode {
-                engine.mem.drain(self.tid);
-                engine.recorder.record_drain();
-            }
+            let report = self.software_commit(SoftwareWrites::PerLine(&mut fb), hw_attempts);
             fb.commit_release();
-            drop(fb);
-            engine.note_sequence(self.tid, commit_ts);
-
-            self.alloc_log.apply_frees(&engine.allocator);
-            engine
-                .recorder
-                .record_persistent_writes(self.entries_buf.len() as u64);
-            engine.recorder.record_completion(CompletionPath::Sgl);
-            break TxnReport::new(CompletionPath::Sgl, *hw_attempts);
-        };
-        if let Some(t0) = fb_t0 {
-            engine
-                .recorder
-                .record_phase_cycles(TxnPhase::Sgl, trace::phase_elapsed(t0));
-        }
-        report
-    }
-
-    fn execute_sgl(&mut self, body: &mut TxnBody<'_>, hw_attempts: &mut u32) -> TxnReport {
-        let engine = self.engine;
-        // Entering the fallback is itself a taxonomy entry: the phase
-        // machinery gave up, which is the signal an adaptive mode switcher
-        // would act on.
-        engine.recorder.record_abort_cause(AbortCause::SglFallback);
-        trace::record(
-            self.tid,
-            TraceEventKind::Abort,
-            AbortCause::SglFallback.index() as u64,
-        );
-        let sgl_t0 = trace::phase_start();
-        let sgl = engine.acquire_sgl();
-        let report = self.run_buffered_durable(body, CompletionPath::Sgl, hw_attempts, true);
-        drop(sgl);
-        if let Some(t0) = sgl_t0 {
-            engine
-                .recorder
-                .record_phase_cycles(TxnPhase::Sgl, trace::phase_elapsed(t0));
-        }
-        report
-    }
-
-    fn execute_thread_unsafe(&mut self, body: &mut TxnBody<'_>) -> TxnReport {
-        let engine = self.engine;
-        let mut hw_attempts = 0u32;
-        match self.log_phase(body, &mut hw_attempts) {
-            LogOutcome::ReadOnly => {
-                self.alloc_log.clear();
-                engine.recorder.record_completion(CompletionPath::ReadOnly);
-                TxnReport::new(CompletionPath::ReadOnly, hw_attempts)
-            }
-            LogOutcome::Logged(seq) => {
-                // Thread-unsafe Redo: no other thread can move gLastRedoTS,
-                // so the phase always succeeds and needs no hardware
-                // transaction (Section 4.4). Ensure the undo entries are
-                // durable before performing the in-place writes.
-                engine.mem.drain(self.tid);
-                engine.recorder.record_drain();
-                let undo_log = engine.threads[self.tid].undo_log;
-                for &(addr, value) in self.redo_buf.iter().rev() {
-                    engine.htm.nontx_write(addr, value);
-                }
-                for rec in &self.undo_buf {
-                    if rec.persistent {
-                        engine.mem.clwb(self.tid, rec.addr);
-                    }
-                }
-                let commit_ts = engine.timestamp();
-                undo_log.commit_marker_nontx(
-                    &engine.htm,
-                    seq.marker_abs,
-                    seq.persistent_writes,
-                    commit_ts,
-                );
-                undo_log.flush_marker(&engine.mem, self.tid, seq.marker_abs);
-                // Outside hardware transactions there is no later fence to
-                // piggyback on, so complete the write-backs here — unless
-                // the transaction is durability-deferred, in which case the
-                // group's shared drain barrier covers them.
-                if !self.deferred_mode {
-                    engine.mem.drain(self.tid);
-                    engine.recorder.record_drain();
-                }
-                engine.note_sequence(self.tid, commit_ts);
-                trace::record(
-                    self.tid,
-                    TraceEventKind::RedoApply,
-                    self.redo_buf.len() as u64,
-                );
-                self.finish(CompletionPath::Redo, &seq, hw_attempts)
-            }
-            LogOutcome::Aborted => {
-                // HTM keeps failing (capacity, spurious aborts): fall back
-                // to the non-speculative durable path.
-                self.run_buffered_durable(body, CompletionPath::Sgl, &mut hw_attempts, false)
-            }
+            return report;
         }
     }
 
-    /// Durable execution without hardware transactions: buffer the body's
-    /// writes, persist the undo log (old values) with a single drain, then
-    /// perform and flush the writes. Used inside SGL sections and as the
-    /// final fallback of thread-unsafe mode, where atomicity is already
-    /// guaranteed by the lock / the program.
-    fn run_buffered_durable(
-        &mut self,
-        body: &mut TxnBody<'_>,
-        path: CompletionPath,
-        hw_attempts: &mut u32,
-        bump_global_ts: bool,
-    ) -> TxnReport {
+    /// The SGL fallback, run while holding the global lock: buffer the
+    /// body's writes (the lock provides atomicity) and commit them through
+    /// the software epilogue.
+    fn execute_sgl(&mut self, body: &mut TxnBody<'_>, hw_attempts: u32) -> TxnReport {
         let engine = self.engine;
-        let undo_log = engine.threads[self.tid].undo_log;
         for _ in 0..16 {
             self.alloc_log.release_allocations(&engine.allocator);
             self.buffered_vals.clear();
@@ -883,7 +727,6 @@ impl<'c> CraftyThread<'c> {
             {
                 let mut ctx = BufferedCtx {
                     htm: &engine.htm,
-                    mem: &engine.mem,
                     allocator: &engine.allocator,
                     alloc_log: &mut self.alloc_log,
                     buffer: &mut self.buffered_vals,
@@ -893,97 +736,91 @@ impl<'c> CraftyThread<'c> {
                     continue;
                 }
             }
-            if self.buffered_order.is_empty()
-                && self.alloc_log.allocations() == 0
-                && self.alloc_log.deferred_frees() == 0
-            {
-                engine.recorder.record_completion(CompletionPath::ReadOnly);
-                return TxnReport::new(CompletionPath::ReadOnly, *hw_attempts);
+            if self.buffered_order.is_empty() && self.alloc_log.is_empty() {
+                return self.read_only(hw_attempts);
             }
+            return self.software_commit(SoftwareWrites::Sgl, hw_attempts);
+        }
+        panic!("transaction body kept aborting outside hardware transactions; bodies must eventually succeed when run in isolation");
+    }
 
-            self.persistent_addrs_buf.clear();
-            self.persistent_addrs_buf.extend(
-                self.buffered_order
-                    .iter()
-                    .copied()
-                    .filter(|a| engine.mem.is_persistent(*a)),
-            );
-            self.entries_buf.clear();
-            self.entries_buf.extend(
-                self.persistent_addrs_buf
-                    .iter()
-                    .map(|a| (*a, engine.htm.nontx_read(*a))),
-            );
-            let log_ts = engine.timestamp();
-            let info = undo_log.append_sequence_nontx(
-                &engine.htm,
-                &self.entries_buf,
-                self.logged_kind(),
-                log_ts,
-            );
-            undo_log.flush_entries(&engine.mem, self.tid, info.first_abs, info.marker_abs);
-            engine.mem.drain(self.tid);
-            engine.recorder.record_drain();
-            trace::record(
-                self.tid,
-                TraceEventKind::UndoAppend,
-                self.entries_buf.len() as u64,
-            );
-            if undo_log.crosses_half(info.first_abs, self.entries_buf.len() as u64 + 1) {
-                engine.maintain_ts_lower_bound(self.tid, log_ts.raw());
+    /// The durability epilogue of both software fallbacks, run while the
+    /// fallback's locks are held: append the old values of the persistent
+    /// write-set words (first-write order) to the undo log, **drain** them,
+    /// publish the writes in place, then flush the writes and the
+    /// COMMITTED marker. Outside hardware transactions there is no later
+    /// fence to piggyback on, so the write-backs are drained before
+    /// returning — unless durability is deferred to the group's shared
+    /// drain.
+    fn software_commit(
+        &mut self,
+        mut writes: SoftwareWrites<'_, '_>,
+        hw_attempts: u32,
+    ) -> TxnReport {
+        let engine = self.engine;
+        let undo_log = engine.threads[self.tid].undo_log;
+        let order = match &writes {
+            SoftwareWrites::PerLine(fb) => fb.write_order(),
+            SoftwareWrites::Sgl => &self.buffered_order,
+        };
+        self.entries_buf.clear();
+        for &addr in order {
+            if engine.mem.is_persistent(addr) {
+                let old_value = match &writes {
+                    SoftwareWrites::PerLine(fb) => fb.read_locked(addr),
+                    SoftwareWrites::Sgl => engine.htm.nontx_read(addr),
+                };
+                self.entries_buf.push((addr, old_value));
             }
+        }
+        let log_ts = engine.timestamp();
+        let info = undo_log.append_sequence_nontx(
+            &engine.htm,
+            &self.entries_buf,
+            self.logged_kind(),
+            log_ts,
+        );
+        self.after_append(&info, log_ts);
+        // A Section 5.2 pin issued by `after_append` begins a hardware
+        // transaction on this thread, which has drained the entries already.
+        if engine.mem.pending_flushes(self.tid) > 0 {
+            engine.drain(self.tid);
+        }
 
-            for addr in &self.buffered_order {
-                let value = self
-                    .buffered_vals
-                    .get(addr.word())
-                    .expect("buffered write present");
-                engine.htm.nontx_write(*addr, value);
-            }
-            for addr in &self.persistent_addrs_buf {
-                engine.mem.clwb(self.tid, *addr);
-            }
-            let commit_ts = engine.timestamp();
-            if bump_global_ts {
+        match &mut writes {
+            SoftwareWrites::PerLine(fb) => fb.publish(),
+            SoftwareWrites::Sgl => {
+                for addr in &self.buffered_order {
+                    let value = self
+                        .buffered_vals
+                        .get(addr.word())
+                        .expect("buffered write present");
+                    engine.htm.nontx_write(*addr, value);
+                }
                 // Publish a fresh commit-order version so that concurrent
                 // threads' Redo checks observe that writes were committed
                 // while the lock was held.
                 let version = engine.htm.nontx_commit_version();
                 engine.htm.nontx_write(engine.g_last_redo_ts_addr, version);
             }
-            undo_log.commit_marker_nontx(
-                &engine.htm,
-                info.marker_abs,
-                info.data_entries,
-                commit_ts,
-            );
-            undo_log.flush_marker(&engine.mem, self.tid, info.marker_abs);
-            // Outside hardware transactions there is no later fence to
-            // piggyback on, so complete the write-backs before returning —
-            // unless durability is deferred to the group's shared drain.
-            if !self.deferred_mode {
-                engine.mem.drain(self.tid);
-                engine.recorder.record_drain();
-            }
-            engine.note_sequence(self.tid, commit_ts);
-
-            self.alloc_log.apply_frees(&engine.allocator);
-            engine
-                .recorder
-                .record_persistent_writes(self.entries_buf.len() as u64);
-            engine.recorder.record_completion(path);
-            return TxnReport::new(path, *hw_attempts);
         }
-        panic!("transaction body kept aborting outside hardware transactions; bodies must eventually succeed when run in isolation");
+        for &(addr, _) in &self.entries_buf {
+            engine.mem.clwb(self.tid, addr);
+        }
+        let commit_ts = engine.timestamp();
+        undo_log.commit_marker_nontx(&engine.htm, info.marker_abs, info.data_entries, commit_ts);
+        undo_log.flush_marker(&engine.mem, self.tid, info.marker_abs);
+        if !self.deferred_mode {
+            engine.drain(self.tid);
+        }
+        engine.note_sequence(self.tid, commit_ts);
+        self.finish(CompletionPath::Sgl, info.data_entries, hw_attempts)
     }
 }
 
 impl TmThread for CraftyThread<'_> {
     fn execute(&mut self, body: &mut TxnBody<'_>) -> TxnReport {
-        match self.engine.cfg.mode {
-            ThreadingMode::ThreadSafe => self.execute_thread_safe(body),
-            ThreadingMode::ThreadUnsafe => self.execute_thread_unsafe(body),
-        }
+        self.run(body)
     }
 
     fn execute_deferred(&mut self, body: &mut TxnBody<'_>) -> TxnReport {
@@ -1008,21 +845,15 @@ impl TmThread for CraftyThread<'_> {
         // The shared drain barrier: one drain of this thread's queue covers
         // every deferred transaction's data write-backs and COMMITTED
         // markers — all were enqueued atomically with their commits.
-        if self.engine.mem.pending_flushes(self.tid) > 0 {
-            let t0 = trace::phase_start();
-            self.engine.mem.drain(self.tid);
-            self.engine.recorder.record_drain();
-            if let Some(t0) = t0 {
-                self.engine
-                    .recorder
-                    .record_phase_cycles(TxnPhase::Drain, trace::phase_elapsed(t0));
-            }
+        let engine = self.engine;
+        if engine.mem.pending_flushes(self.tid) > 0 {
+            engine.timed(TxnPhase::Drain, || engine.drain(self.tid));
         }
     }
 }
 
 // ----------------------------------------------------------------------
-// TxnOps contexts for the three execution flavours
+// TxnOps contexts for the four execution flavours
 // ----------------------------------------------------------------------
 
 /// Log-phase context: performs writes in place (inside the hardware
@@ -1053,12 +884,7 @@ impl TxnOps for LogCtx<'_, '_> {
     }
 
     fn alloc(&mut self, words: u64) -> Result<PAddr, TxAbort> {
-        let addr = self
-            .allocator
-            .alloc(words)
-            .expect("persistent heap exhausted; increase CraftyConfig::heap_words");
-        self.alloc_log.record_alloc(addr, words);
-        Ok(addr)
+        Ok(self.alloc_log.alloc(self.allocator, words))
     }
 
     fn dealloc(&mut self, addr: PAddr, words: u64) -> Result<(), TxAbort> {
@@ -1151,12 +977,7 @@ impl TxnOps for FallbackCtx<'_, '_> {
     }
 
     fn alloc(&mut self, words: u64) -> Result<PAddr, TxAbort> {
-        let addr = self
-            .allocator
-            .alloc(words)
-            .expect("persistent heap exhausted; increase CraftyConfig::heap_words");
-        self.alloc_log.record_alloc(addr, words);
-        Ok(addr)
+        Ok(self.alloc_log.alloc(self.allocator, words))
     }
 
     fn dealloc(&mut self, addr: PAddr, words: u64) -> Result<(), TxAbort> {
@@ -1165,12 +986,10 @@ impl TxnOps for FallbackCtx<'_, '_> {
     }
 }
 
-/// Buffered durable context (SGL sections and the thread-unsafe fallback):
-/// reads come from the buffer or memory, writes stay in the buffer until
-/// the undo log has been persisted.
+/// Buffered context of the SGL fallback: reads come from the buffer or
+/// memory, writes stay in the buffer until the undo log has been persisted.
 struct BufferedCtx<'a> {
     htm: &'a crafty_htm::HtmRuntime,
-    mem: &'a MemorySpace,
     allocator: &'a PmemAllocator,
     alloc_log: &'a mut AllocLog,
     /// Borrowed from [`CraftyThread::buffered_vals`] /
@@ -1192,17 +1011,11 @@ impl TxnOps for BufferedCtx<'_> {
         if self.buffer.insert(addr.word(), value).is_none() {
             self.order.push(addr);
         }
-        let _ = self.mem; // the buffer is volatile; nothing touches memory here
         Ok(())
     }
 
     fn alloc(&mut self, words: u64) -> Result<PAddr, TxAbort> {
-        let addr = self
-            .allocator
-            .alloc(words)
-            .expect("persistent heap exhausted; increase CraftyConfig::heap_words");
-        self.alloc_log.record_alloc(addr, words);
-        Ok(addr)
+        Ok(self.alloc_log.alloc(self.allocator, words))
     }
 
     fn dealloc(&mut self, addr: PAddr, words: u64) -> Result<(), TxAbort> {

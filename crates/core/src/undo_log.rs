@@ -415,10 +415,10 @@ impl UndoLog {
         )
     }
 
-    /// Non-transactional variants used by the software fallbacks and the
-    /// thread-unsafe path, which run while holding locks: writes go through
-    /// the HTM runtime's non-transactional store so that doomed concurrent
-    /// transactions still detect them.
+    /// Non-transactional variants used by the software fallbacks, which run
+    /// while holding locks: writes go through the HTM runtime's
+    /// non-transactional store so that doomed concurrent transactions still
+    /// detect them.
     pub fn append_sequence_nontx(
         &self,
         htm: &HtmRuntime,

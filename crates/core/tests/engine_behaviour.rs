@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use crafty_common::{CompletionPath, PAddr, PersistentTm, TxAbort, TxnOps};
-use crafty_core::{recover, Crafty, CraftyConfig, CraftyVariant, ThreadingMode};
+use crafty_core::{recover, Crafty, CraftyConfig, CraftyVariant};
 use crafty_pmem::{CrashModel, MemorySpace, PmemConfig};
 
 fn small_mem() -> Arc<MemorySpace> {
@@ -205,35 +205,6 @@ fn no_validate_variant_still_completes_under_contention() {
     .expect("worker threads");
     assert_eq!(mem.read(counter), (threads * per_thread) as u64);
     assert_eq!(crafty.breakdown().completions(CompletionPath::Validate), 0);
-}
-
-#[test]
-fn thread_unsafe_mode_provides_durability_under_external_locking() {
-    let mem = small_mem();
-    let cfg = CraftyConfig::small_for_tests().with_mode(ThreadingMode::ThreadUnsafe);
-    let crafty = Arc::new(Crafty::new(Arc::clone(&mem), cfg));
-    let counter = mem.reserve_persistent(1);
-    let lock = Arc::new(parking_lot::Mutex::new(()));
-    crossbeam::scope(|s| {
-        for tid in 0..3 {
-            let crafty = Arc::clone(&crafty);
-            let lock = Arc::clone(&lock);
-            s.spawn(move |_| {
-                let mut handle = crafty.register_thread(tid);
-                for _ in 0..100 {
-                    // The program's own lock provides thread atomicity.
-                    let _guard = lock.lock();
-                    handle.execute(&mut |ops| {
-                        let v = ops.read(counter)?;
-                        ops.write(counter, v + 1)?;
-                        Ok(())
-                    });
-                }
-            });
-        }
-    })
-    .expect("worker threads");
-    assert_eq!(mem.read(counter), 300);
 }
 
 #[test]

@@ -329,8 +329,8 @@ impl HtmRuntime {
     /// Performs a non-transactional store that is still visible to the
     /// conflict-detection machinery (running transactions that have the
     /// line in their footprint will abort, as they would under RTM's strong
-    /// atomicity). Crafty's SGL acquisition/release and its thread-unsafe
-    /// mode use this for writes performed outside hardware transactions.
+    /// atomicity). Crafty's SGL acquisition/release and its SGL fallback
+    /// use this for writes performed outside hardware transactions.
     pub fn nontx_write(&self, addr: PAddr, value: u64) {
         let slot = self.lock_line(addr.line());
         self.mem.write(addr, value);
